@@ -124,6 +124,64 @@ def factorize(a: SymmetricMatrix, rule: TieRule = TieRule.FIRST) -> AasenFactors
     )
 
 
+def _stacked_growth(a: np.ndarray) -> np.ndarray:
+    """Growth factors of a (B, n, n) stack of finite symmetric matrices.
+
+    Runs the column sweep of factorize() (rule FIRST) on all B items at once
+    and keeps only T.  Every item goes through the same floating-point
+    operations as in factorize(): the same elementwise products, one ddot per
+    item for h[j] and one gemv per item for the working column (numpy's
+    stacked matmul makes the same BLAS call per item as the 2-D one), so each
+    value equals growth_factor(A, factorize(A)) bit for bit.  The zero matrix
+    scores 0, as in search.evaluate_candidate().
+    """
+    b, n, _ = a.shape
+    rows = np.arange(b)
+    perm = np.tile(np.arange(n), (b, 1))  # row/column k of P A P^T is a[perm[k]]
+    lw = np.tile(np.eye(n), (b, 1, 1))
+    alpha = np.zeros((b, n))
+    beta = np.zeros((b, max(n - 1, 0)))
+
+    for j in range(n):
+        lj = lw[:, j, : j + 1]
+        h = np.empty((b, j + 1))
+        if j > 0:
+            hh = alpha[:, :j] * lj[:, :j]
+            hh[:, 1:] += beta[:, : j - 1] * lj[:, : j - 1]
+            hh += beta[:, :j] * lj[:, 1 : j + 1]
+            h[:, :j] = hh
+        pj = perm[:, j]
+        dot = np.matmul(lj[:, None, :j], h[:, :j, None])[:, 0, 0]
+        h[:, j] = a[rows, pj, pj] - dot
+        alpha[:, j] = h[:, j] - (beta[:, j - 1] * lj[:, j - 1] if j > 0 else 0.0)
+
+        if j < n - 1:
+            col = a[rows[:, None], perm[:, j + 1 :], pj[:, None]]
+            v = col - np.matmul(lw[:, j + 1 :, : j + 1], h[:, :, None])[:, :, 0]
+            # _pivot_offset for every item: the first tied row, and row 0
+            # when the column is zero (then every entry ties)
+            av = np.abs(v)
+            r = np.argmax(av >= av.max(axis=1, keepdims=True) * (1.0 - PIVOT_TIE_REL), axis=1)
+            rr = j + 1 + r
+            v[rows, 0], v[rows, r] = v[rows, r], v[rows, 0]
+            perm[rows, j + 1], perm[rows, rr] = perm[rows, rr], perm[rows, j + 1]
+            lw[rows, j + 1, : j + 1], lw[rows, rr, : j + 1] = (
+                lw[rows, rr, : j + 1],
+                lw[rows, j + 1, : j + 1],
+            )
+            piv = v[:, :1]
+            beta[:, j] = piv[:, 0]
+            # a zero pivot leaves the column zero, as factorize() does
+            q = np.divide(v[:, 1:], piv, out=np.zeros_like(v[:, 1:]), where=piv != 0.0)
+            lw[:, j + 2 :, j + 1] = np.clip(q, -1.0, 1.0)
+
+    t = np.abs(alpha).max(axis=1)
+    if n > 1:
+        t = np.maximum(t, np.abs(beta).max(axis=1))
+    m = np.abs(a).max(axis=(1, 2))
+    return np.divide(t, m, out=np.zeros(b), where=m != 0.0)
+
+
 def tridiag_solve(tri: SymmetricTridiagonal, y) -> np.ndarray:
     """Solve T z = y by elimination with row partial pivoting.
 

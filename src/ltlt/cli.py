@@ -23,7 +23,7 @@ from .growth import (
     growth_certificate,
     growth_factor,
 )
-from .lpcert import build_program, solve_lp, tnn_upper_bound
+from .lpcert import build_program, solve_lp
 from .matcore import SymmetricMatrix, residual
 from .search import SearchConfig, maximize_growth
 
@@ -36,6 +36,10 @@ EXIT_INTERNAL = 3
 
 # Asymmetry allowed in an input file before it is rejected.
 SYMMETRY_TOL = 1e-12
+
+# Largest dimension for lp and search: their bounds 2^(n-1) overflow a
+# double from n = 1025 on.
+MAX_N = 1024
 
 
 class MatrixFileError(ValueError):
@@ -188,12 +192,14 @@ def parse_matrix(text: str) -> SymmetricMatrix:
         raise MatrixFileError(f"line 1: dimension {head[1]!r} is not an integer") from None
     if n < 1:
         raise MatrixFileError(f"line 1: dimension must be >= 1, got {n}")
+    # checked before allocating, so a huge header on a short file is a parse
+    # error rather than an n-by-n allocation
+    if len(lines) - 1 < n:
+        raise MatrixFileError(f"line {len(lines) + 1}: missing row {len(lines)} of {n}")
 
     entries = np.zeros((n, n))
     for i in range(n):
         lineno = i + 2
-        if i + 1 >= len(lines):
-            raise MatrixFileError(f"line {lineno}: missing row {i + 1} of {n}")
         fields = lines[i + 1].split()
         if len(fields) != n:
             raise MatrixFileError(
@@ -296,9 +302,13 @@ def cmd_certify(args) -> int:
     return EXIT_OK if cert.all_pass else EXIT_INTERNAL
 
 
+def _check_n(command: str, n: int):
+    if not 3 <= n <= MAX_N:
+        raise DomainError(f"{command} requires 3 <= n <= {MAX_N}, got {n}")
+
+
 def cmd_lp(args) -> int:
-    if args.n < 3:
-        raise DomainError(f"lp requires n >= 3, got {args.n}")
+    _check_n("lp", args.n)
     prog = build_program(args.n)
     sol = solve_lp(prog)
     if sol.status != "optimal":
@@ -312,7 +322,7 @@ def cmd_lp(args) -> int:
             "objective": sol.objective_value,
             "point": sol.point.tolist(),
             "iterations": sol.iterations,
-            "tnn_bound": tnn_upper_bound(args.n),
+            "tnn_bound": 2.0 ** (args.n - 1) - sol.objective_value,
             "bound_not_tight": sol.objective_value > 1e-9,
         }
     }
@@ -346,8 +356,7 @@ def cmd_examples(args) -> int:
 
 
 def cmd_search(args) -> int:
-    if args.n < 3:
-        raise DomainError(f"search requires n >= 3, got {args.n}")
+    _check_n("search", args.n)
     warm = ()
     inputs = {"n": args.n, "seed": args.seed, "restarts": args.restarts}
     if args.warm:

@@ -2,9 +2,12 @@
 
 Coordinate pattern search on the n(n+1)/2 free entries of a symmetric
 matrix: probe +/- step along every coordinate, accept the best improving
-probe, halve the step when none improves.  Restarts are independent, so the
-outcome is the argmax over restarts with ties going to the lowest restart
-index; identical configurations always reproduce the same outcome.
+probe, halve the step when none improves.  Each sweep scores all of its
+probes as one batch through a stacked form of the factorization; the values,
+and so every outcome, are identical to scoring each probe on its own with
+evaluate_candidate().  Restarts are independent, so the outcome is the
+argmax over restarts with ties going to the lowest restart index; identical
+configurations always reproduce the same outcome.
 """
 from __future__ import annotations
 
@@ -13,7 +16,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .aasen import TieRule, factorize
+from .aasen import TieRule, _stacked_growth, factorize
 from .growth import growth_factor
 from .matcore import SymmetricMatrix, max_abs
 
@@ -59,44 +62,43 @@ def evaluate_candidate(m: SymmetricMatrix) -> float:
     return growth_factor(m, factorize(m, TieRule.FIRST))
 
 
-def _sym_from_vec(v: np.ndarray, n: int, iu) -> SymmetricMatrix:
-    m = np.zeros((n, n))
-    m[iu] = v
-    m[iu[1], iu[0]] = v
-    return SymmetricMatrix(m)
+def _sym_stack(v: np.ndarray, n: int, iu) -> np.ndarray:
+    """(P, n, n) symmetric matrices from the (P, d) upper-triangle vectors v."""
+    m = np.zeros((v.shape[0], n, n))
+    m[:, iu[0], iu[1]] = v
+    m[:, iu[1], iu[0]] = v
+    return m
 
 
 def _pattern_search(x0: np.ndarray, cfg: SearchConfig, iu) -> Tuple[np.ndarray, float, int]:
-    """One restart; returns (best vector, best value, evaluations used)."""
+    """One restart; returns (best vector, best value, evaluations used).
+
+    A sweep scores all of its probes as one stack.  The accepted probe is the
+    first one, in coordinate-major order with +step before -step, that
+    attains the sweep's maximum, and only when that maximum beats the current
+    value: the probe a sequential scan with strict comparison would keep.
+    """
     n, d = cfg.n, x0.shape[0]
     x = x0.copy()
-    best = evaluate_candidate(_sym_from_vec(x, n, iu))
+    best = float(_stacked_growth(_sym_stack(x[None, :], n, iu))[0])
     evals = 1
     step = cfg.initial_step
+    coord = np.repeat(np.arange(d), 2)
 
     for _ in range(cfg.max_iters):
         if step < cfg.min_step:
             break
-        probe_best = best
-        probe_at = -1
-        probe_val = 0.0
-        for k in range(d):
-            for sgn in (1.0, -1.0):
-                cand = min(1.0, max(-1.0, x[k] + sgn * step))
-                if cand == x[k]:
-                    continue
-                old = x[k]
-                x[k] = cand
-                val = evaluate_candidate(_sym_from_vec(x, n, iu))
-                x[k] = old
-                evals += 1
-                if val > probe_best:
-                    probe_best = val
-                    probe_at = k
-                    probe_val = cand
-        if probe_at >= 0:
-            x[probe_at] = probe_val
-            best = probe_best
+        cand = np.clip(np.stack([x + step, x - step], axis=1).ravel(), -1.0, 1.0)
+        keep = cand != x[coord]
+        at, cand = coord[keep], cand[keep]
+        probes = np.tile(x, (at.shape[0], 1))
+        probes[np.arange(at.shape[0]), at] = cand
+        vals = _stacked_growth(_sym_stack(probes, n, iu))
+        evals += vals.shape[0]
+        i = int(np.argmax(vals)) if vals.shape[0] else -1
+        if i >= 0 and vals[i] > best:
+            x[at[i]] = cand[i]
+            best = float(vals[i])
         else:
             step *= cfg.shrink
     return x, best, evals
@@ -133,7 +135,7 @@ def maximize_growth(config: SearchConfig) -> SearchOutcome:
             best_vec = x
 
     return SearchOutcome(
-        best_matrix=_sym_from_vec(best_vec, n, iu),
+        best_matrix=SymmetricMatrix(_sym_stack(best_vec[None, :], n, iu)[0]),
         best_growth=float(best_val),
         evaluations=evaluations,
         per_restart_best=per_restart,

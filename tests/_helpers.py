@@ -9,6 +9,7 @@ import itertools
 import numpy as np
 
 from ltlt.matcore import SymmetricMatrix
+from ltlt.search import evaluate_candidate
 
 
 def rand_sym(rng, n, scale=1.0) -> SymmetricMatrix:
@@ -105,3 +106,50 @@ def lp_vertex_minimum(prog, chunk=200_000):
         if feas.any():
             best = min(best, float((x[feas] @ c).min()))
     return best
+
+
+def pattern_search_scalar(x0, cfg, iu):
+    """Per-probe reference for search._pattern_search: one restart.
+
+    Scores every probe on its own through evaluate_candidate (factorize), in
+    coordinate-major order with +step before -step, keeping the best probe
+    under a strict comparison.  Returns (best vector, best value, evaluations).
+    """
+    def sym(v):
+        m = np.zeros((cfg.n, cfg.n))
+        m[iu] = v
+        m[iu[1], iu[0]] = v
+        return SymmetricMatrix(m)
+
+    d = x0.shape[0]
+    x = x0.copy()
+    best = evaluate_candidate(sym(x))
+    evals = 1
+    step = cfg.initial_step
+
+    for _ in range(cfg.max_iters):
+        if step < cfg.min_step:
+            break
+        probe_best = best
+        probe_at = -1
+        probe_val = 0.0
+        for k in range(d):
+            for sgn in (1.0, -1.0):
+                cand = min(1.0, max(-1.0, x[k] + sgn * step))
+                if cand == x[k]:
+                    continue
+                old = x[k]
+                x[k] = cand
+                val = evaluate_candidate(sym(x))
+                x[k] = old
+                evals += 1
+                if val > probe_best:
+                    probe_best = val
+                    probe_at = k
+                    probe_val = cand
+        if probe_at >= 0:
+            x[probe_at] = probe_val
+            best = probe_best
+        else:
+            step *= cfg.shrink
+    return x, best, evals

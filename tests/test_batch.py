@@ -1,0 +1,92 @@
+"""The stacked growth kernel and the batched search against their references.
+
+Both comparisons are bitwise: the kernel runs the same floating-point
+operations per item as factorize(), so no tolerance applies.
+"""
+import numpy as np
+import pytest
+
+from _helpers import pattern_search_scalar
+from ltlt import search
+from ltlt.aasen import _stacked_growth
+from ltlt.extremal import extremal_matrix
+from ltlt.matcore import SymmetricMatrix
+from ltlt.search import SearchConfig, evaluate_candidate, maximize_growth
+
+
+def _sym(m):
+    return np.tril(m) + np.tril(m, -1).T
+
+
+def _assert_matches_reference(stack):
+    stack = np.asarray(stack, dtype=float)
+    got = _stacked_growth(stack)
+    want = np.array([evaluate_candidate(SymmetricMatrix(m)) for m in stack])
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_kernel_matches_factorize_random(n):
+    rng = np.random.default_rng([50, n])
+    _assert_matches_reference([_sym(rng.uniform(-1.0, 1.0, (n, n))) for _ in range(40)])
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_kernel_matches_factorize_exact_ties(n):
+    # quarter-quantized entries put exact ties (and zero columns) in the
+    # pivot search, where the tie rule decides the row
+    rng = np.random.default_rng([51, n])
+    stack = [_sym(np.round(4.0 * rng.uniform(-1.0, 1.0, (n, n))) / 4.0) for _ in range(40)]
+    stack.append(np.zeros((n, n)))
+    stack.append(np.eye(n))
+    _assert_matches_reference(stack)
+
+
+@pytest.mark.parametrize("n,deltas", [
+    (4, (0.01, 0.05, 0.5, 1.0, 2.0)),
+    (5, (0.01, 0.1, 0.5, 1.0)),
+    (6, (0.4, 0.5, 0.6, 0.8)),
+])
+def test_kernel_matches_factorize_extremal(n, deltas):
+    _assert_matches_reference([extremal_matrix(n, d).A.entries for d in deltas])
+
+
+def _oracle(cfg, monkeypatch):
+    with monkeypatch.context() as mp:
+        mp.setattr(search, "_pattern_search", pattern_search_scalar)
+        return maximize_growth(cfg)
+
+
+def _assert_same_outcome(got, want):
+    assert got.best_growth == want.best_growth
+    assert got.evaluations == want.evaluations
+    assert got.per_restart_best == want.per_restart_best
+    assert np.array_equal(
+        got.best_matrix.entries.view(np.int64), want.best_matrix.entries.view(np.int64)
+    )
+
+
+@pytest.mark.parametrize("n,seed", [(3, 0), (4, 1), (5, 2), (6, 3), (7, 4)])
+def test_search_matches_scalar_oracle(n, seed, monkeypatch):
+    cfg = SearchConfig(n=n, restarts=1, seed=seed, max_iters=12)
+    _assert_same_outcome(maximize_growth(cfg), _oracle(cfg, monkeypatch))
+
+
+def test_search_matches_scalar_oracle_restarts(monkeypatch):
+    cfg = SearchConfig(n=4, restarts=3, seed=7, max_iters=40, min_step=1e-3)
+    _assert_same_outcome(maximize_growth(cfg), _oracle(cfg, monkeypatch))
+
+
+@pytest.mark.parametrize("n,delta", [(4, 0.05), (5, 0.01), (6, 0.4)])
+def test_search_matches_scalar_oracle_warm(n, delta, monkeypatch):
+    warm = (extremal_matrix(n, delta).A,)
+    cfg = SearchConfig(n=n, restarts=2, seed=9, max_iters=15, warm_starts=warm)
+    _assert_same_outcome(maximize_growth(cfg), _oracle(cfg, monkeypatch))
+
+
+@pytest.mark.parametrize("start", [np.zeros((4, 4)), np.ones((4, 4)), np.eye(4)])
+def test_search_matches_scalar_oracle_tied_probes(start, monkeypatch):
+    # from these starts many probes of a sweep score exactly the sweep's
+    # maximum; the first of them in scan order must win
+    cfg = SearchConfig(n=4, restarts=1, max_iters=20, warm_starts=(SymmetricMatrix(start),))
+    _assert_same_outcome(maximize_growth(cfg), _oracle(cfg, monkeypatch))

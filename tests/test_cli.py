@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from _helpers import rand_sym
+from ltlt import cli, lpcert
 from ltlt.cli import (
     EXIT_DOMAIN,
     EXIT_OK,
@@ -18,6 +19,7 @@ from ltlt.cli import (
     parse_matrix,
 )
 from ltlt.extremal import extremal_matrix
+from ltlt.lpcert import solve_lp, tnn_upper_bound
 from ltlt.matcore import SymmetricMatrix
 
 
@@ -136,6 +138,39 @@ def test_cmd_lp_values(capsys):
 def test_cmd_lp_domain_error(capsys):
     code, out, err = run_cli(capsys, "lp", "--n", "2")
     assert code == EXIT_DOMAIN
+
+
+def test_cmd_lp_solves_once(capsys, monkeypatch):
+    calls = []
+
+    def counting(prog):
+        calls.append(prog.n)
+        return solve_lp(prog)
+
+    # both bindings: tnn_upper_bound solves through the lpcert one
+    monkeypatch.setattr(cli, "solve_lp", counting)
+    monkeypatch.setattr(lpcert, "solve_lp", counting)
+    for n in (6, 12, 20):
+        calls.clear()
+        rep = report_of(capsys, "lp", "--n", str(n))
+        assert calls == [n]
+        assert rep["outputs"]["lp"]["tnn_bound"] == tnn_upper_bound(n)
+
+
+@pytest.mark.parametrize("command", ["lp", "search"])
+def test_cmd_rejects_n_past_max(command, capsys):
+    code, out, err = run_cli(capsys, command, "--n", "1100")
+    assert code == EXIT_DOMAIN
+    assert out == ""
+    assert "n <= 1024, got 1100" in err
+
+
+def test_huge_header_is_parse_error(tmp_path, capsys):
+    path = tmp_path / "huge.txt"
+    path.write_text("symmetric 1000000000\n1 0\n")
+    code, out, err = run_cli(capsys, "factor", str(path))
+    assert code == EXIT_USAGE
+    assert "line 3: missing row 2 of 1000000000" in err
 
 
 def test_cmd_examples(tmp_path, capsys):
