@@ -9,7 +9,6 @@ a direct-search growth maximizer.
 from .aasen import (
     AasenFactors,
     SingularMatrixError,
-    TieRule,
     factorize,
     solve,
     tridiag_solve,
@@ -71,7 +70,6 @@ __all__ = [
     "SingularMatrixError",
     "SymmetricMatrix",
     "SymmetricTridiagonal",
-    "TieRule",
     "UndefinedGrowthError",
     "UnitLowerTriangular",
     "assemble",

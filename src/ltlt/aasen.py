@@ -6,7 +6,6 @@ and P is chosen by partial pivoting so that every multiplier satisfies
 """
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,19 +34,6 @@ class SingularMatrixError(ValueError):
         super().__init__(f"singular tridiagonal system: zero pivot at index {pivot_index}")
 
 
-class TieRule(enum.Enum):
-    """Tie-breaking policy for the pivot search.
-
-    FIRST keeps the current row when it is among the tied maxima;
-    LOWEST_INDEX picks the smallest index among them.  Since the current row
-    is also the lowest candidate index, the two coincide under this scan;
-    both are kept so the policy is explicit in every call.
-    """
-
-    FIRST = "first"
-    LOWEST_INDEX = "lowest"
-
-
 @dataclass(frozen=True)
 class AasenFactors:
     """Output of factorize(): permutation p, unit lower L, tridiagonal T."""
@@ -61,25 +47,24 @@ class AasenFactors:
         return self.T.n
 
 
-def _pivot_offset(v: np.ndarray, rule: TieRule) -> int:
-    """Offset (0 == current row) of the pivot among the candidate column v."""
+def _pivot_offset(v: np.ndarray) -> np.ndarray:
+    """Pivot offset (0 == current row) in a column v, or per row of a (B, m) stack v.
+
+    The first entry within PIVOT_TIE_REL of the largest magnitude: a tie keeps
+    the current row, and a zero column (where every entry ties) pivots on row 0.
+    """
     av = np.abs(v)
-    m = av.max()
-    if m == 0.0:
-        return 0
-    ties = av >= m * (1.0 - PIVOT_TIE_REL)
-    if rule is TieRule.FIRST and ties[0]:
-        return 0
-    return int(np.flatnonzero(ties)[0])
+    return np.argmax(av >= av.max(axis=-1, keepdims=True) * (1.0 - PIVOT_TIE_REL), axis=-1)
 
 
-def factorize(a: SymmetricMatrix, rule: TieRule = TieRule.FIRST) -> AasenFactors:
+def factorize(a: SymmetricMatrix) -> AasenFactors:
     """Column-by-column Aasen factorization with partial pivoting.
 
     Each step forms the working column h of H = T L^T, then the pivot is the
     entry of largest magnitude among the remaining rows, so multipliers never
     exceed 1.  A zero working column yields zero multipliers, not a failure;
-    the factorization exists for every finite symmetric matrix.
+    the factorization exists for every finite symmetric matrix.  Raises
+    OverflowError when a factor entry overflows the double range.
     """
     if not np.all(np.isfinite(a.entries)):
         raise ValueError("matrix entries must be finite")
@@ -90,32 +75,36 @@ def factorize(a: SymmetricMatrix, rule: TieRule = TieRule.FIRST) -> AasenFactors
     alpha = np.zeros(n)
     beta = np.zeros(max(n - 1, 0))
 
-    for j in range(n):
-        lj = lw[j, : j + 1]
-        h = np.empty(j + 1)
-        if j > 0:
-            hh = alpha[:j] * lj[:j]
-            hh[1:] += beta[: j - 1] * lj[: j - 1]
-            hh += beta[:j] * lj[1 : j + 1]
-            h[:j] = hh
-        h[j] = aw[j, j] - lj[:j] @ h[:j]
-        alpha[j] = h[j] - (beta[j - 1] * lj[j - 1] if j > 0 else 0.0)
+    # overflow near the top of the double range is reported once, below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(n):
+            lj = lw[j, : j + 1]
+            h = np.empty(j + 1)
+            if j > 0:
+                hh = alpha[:j] * lj[:j]
+                hh[1:] += beta[: j - 1] * lj[: j - 1]
+                hh += beta[:j] * lj[1 : j + 1]
+                h[:j] = hh
+            h[j] = aw[j, j] - lj[:j] @ h[:j]
+            alpha[j] = h[j] - (beta[j - 1] * lj[j - 1] if j > 0 else 0.0)
 
-        if j < n - 1:
-            v = aw[j + 1 :, j] - lw[j + 1 :, : j + 1] @ h
-            r = _pivot_offset(v, rule)
-            if r != 0:
-                rr = j + 1 + r
-                v[[0, r]] = v[[r, 0]]
-                perm[[j + 1, rr]] = perm[[rr, j + 1]]
-                lw[[j + 1, rr], : j + 1] = lw[[rr, j + 1], : j + 1]
-                aw[[j + 1, rr], :] = aw[[rr, j + 1], :]
-                aw[:, [j + 1, rr]] = aw[:, [rr, j + 1]]
-            beta[j] = v[0]
-            if v[0] != 0.0:
-                # pivoting bounds the quotients by 1 in exact arithmetic; the
-                # clip removes the one-ulp excess division roundoff can add
-                lw[j + 2 :, j + 1] = np.clip(v[1:] / v[0], -1.0, 1.0)
+            if j < n - 1:
+                v = aw[j + 1 :, j] - lw[j + 1 :, : j + 1] @ h
+                r = int(_pivot_offset(v))
+                if r != 0:
+                    rr = j + 1 + r
+                    v[[0, r]] = v[[r, 0]]
+                    perm[[j + 1, rr]] = perm[[rr, j + 1]]
+                    lw[[j + 1, rr], : j + 1] = lw[[rr, j + 1], : j + 1]
+                    aw[[j + 1, rr], :] = aw[[rr, j + 1], :]
+                    aw[:, [j + 1, rr]] = aw[:, [rr, j + 1]]
+                beta[j] = v[0]
+                if v[0] != 0.0:
+                    # pivoting bounds the quotients by 1 in exact arithmetic; the
+                    # clip removes the one-ulp excess division roundoff can add
+                    lw[j + 2 :, j + 1] = np.clip(v[1:] / v[0], -1.0, 1.0)
+    if not (np.isfinite(alpha).all() and np.isfinite(beta).all() and np.isfinite(lw).all()):
+        raise OverflowError("factorization overflows the double range (non-finite factor entry)")
 
     return AasenFactors(
         p=PermutationVector(perm),
@@ -127,13 +116,13 @@ def factorize(a: SymmetricMatrix, rule: TieRule = TieRule.FIRST) -> AasenFactors
 def _stacked_growth(a: np.ndarray) -> np.ndarray:
     """Growth factors of a (B, n, n) stack of finite symmetric matrices.
 
-    Runs the column sweep of factorize() (rule FIRST) on all B items at once
-    and keeps only T.  Every item goes through the same floating-point
-    operations as in factorize(): the same elementwise products, one ddot per
-    item for h[j] and one gemv per item for the working column (numpy's
-    stacked matmul makes the same BLAS call per item as the 2-D one), so each
-    value equals growth_factor(A, factorize(A)) bit for bit.  The zero matrix
-    scores 0, as in search.evaluate_candidate().
+    Runs the column sweep of factorize() on all B items at once and keeps only
+    T.  Every item goes through the same floating-point operations as in
+    factorize(): the same elementwise products, one ddot per item for h[j] and
+    one gemv per item for the working column (numpy's stacked matmul makes the
+    same BLAS call per item as the 2-D one), and the same _pivot_offset() test,
+    so each value equals growth_factor(A, factorize(A)) bit for bit.  The zero
+    matrix scores 0, as in search.evaluate_candidate().
     """
     b, n, _ = a.shape
     rows = np.arange(b)
@@ -158,10 +147,7 @@ def _stacked_growth(a: np.ndarray) -> np.ndarray:
         if j < n - 1:
             col = a[rows[:, None], perm[:, j + 1 :], pj[:, None]]
             v = col - np.matmul(lw[:, j + 1 :, : j + 1], h[:, :, None])[:, :, 0]
-            # _pivot_offset for every item: the first tied row, and row 0
-            # when the column is zero (then every entry ties)
-            av = np.abs(v)
-            r = np.argmax(av >= av.max(axis=1, keepdims=True) * (1.0 - PIVOT_TIE_REL), axis=1)
+            r = _pivot_offset(v)
             rr = j + 1 + r
             v[rows, 0], v[rows, r] = v[rows, r], v[rows, 0]
             perm[rows, j + 1], perm[rows, rr] = perm[rows, rr], perm[rows, j + 1]

@@ -1,9 +1,9 @@
 """Command-line front end: matrix file I/O and report-producing subcommands.
 
 Exit codes: 0 success, 1 usage or parse error, 2 domain error (validity
-window, LP domain), 3 internal invariant violation (a failing certificate,
-which should never occur).  Every successful invocation prints one JSON
-report validating against REPORT_SCHEMA.
+window, LP domain, a factorization overflowing the double range), 3 internal
+invariant violation (a failing certificate, which should never occur).  Every
+successful invocation prints one JSON report validating against REPORT_SCHEMA.
 """
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .aasen import TieRule, factorize
+from .aasen import factorize
 from .extremal import DeltaWindowError, extremal_matrix, verify_example
 from .growth import (
     GrowthCertificate,
@@ -27,7 +27,7 @@ from .lpcert import build_program, solve_lp
 from .matcore import SymmetricMatrix, residual
 from .search import SearchConfig, maximize_growth
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -73,7 +73,6 @@ REPORT_SCHEMA = {
                 "delta": _NUM,
                 "seed": {"type": "integer"},
                 "restarts": {"type": "integer"},
-                "rule": {"enum": ["first", "lowest"]},
                 "warm": {"type": "string"},
                 "out_dir": {"type": "string"},
             },
@@ -221,12 +220,10 @@ def parse_matrix(text: str) -> SymmetricMatrix:
         if lines[extra].split():
             raise MatrixFileError(f"line {extra + 1}: unexpected content after matrix")
 
-    skew = float(np.max(np.abs(entries - entries.T)))
-    if skew > SYMMETRY_TOL:
-        raise MatrixFileError(
-            f"matrix is asymmetric by {skew:.3e} (tolerance {SYMMETRY_TOL:.0e})"
-        )
-    return SymmetricMatrix.from_full(entries, tol=SYMMETRY_TOL)
+    try:
+        return SymmetricMatrix.from_full(entries, tol=SYMMETRY_TOL)
+    except ValueError as e:
+        raise MatrixFileError(str(e)) from None
 
 
 def read_matrix(path: str) -> SymmetricMatrix:
@@ -266,13 +263,9 @@ def _write_report(report: dict, out: str | None):
         sys.stdout.write(text)
 
 
-def _rule_of(args) -> TieRule:
-    return TieRule.FIRST if args.rule == "first" else TieRule.LOWEST_INDEX
-
-
 def cmd_factor(args) -> int:
     a = read_matrix(args.input)
-    f = factorize(a, _rule_of(args))
+    f = factorize(a)
     outputs = {
         "permutation": f.p.p.tolist(),
         "l_strict": f.L.strict.tolist(),
@@ -282,21 +275,21 @@ def cmd_factor(args) -> int:
     }
     if np.any(a.entries):
         outputs["growth"] = growth_factor(a, f)
-    inputs = {"path": args.input, "n": a.n, "rule": args.rule}
+    inputs = {"path": args.input, "n": a.n}
     _write_report(_report("factor", inputs, outputs), args.out)
     return EXIT_OK
 
 
 def cmd_certify(args) -> int:
     a = read_matrix(args.input)
-    f = factorize(a, _rule_of(args))
+    f = factorize(a)
     cert = growth_certificate(a, f)
     outputs = {
         "certificate": _cert_dict(cert),
         "growth": cert.rho,
         "residual": residual(a, f.p, f.L, f.T),
     }
-    inputs = {"path": args.input, "n": a.n, "rule": args.rule}
+    inputs = {"path": args.input, "n": a.n}
     status = "ok" if cert.all_pass else "invariant-violation"
     _write_report(_report("certify", inputs, outputs, status), args.out)
     return EXIT_OK if cert.all_pass else EXIT_INTERNAL
@@ -332,7 +325,7 @@ def cmd_lp(args) -> int:
 
 def cmd_examples(args) -> int:
     ex = extremal_matrix(args.n, args.delta)
-    report = verify_example(ex, _rule_of(args))
+    report = verify_example(ex)
     out_dir = Path(args.out or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
     matrix_path = out_dir / f"extremal_n{args.n}_delta{args.delta:g}.txt"
@@ -349,7 +342,7 @@ def cmd_examples(args) -> int:
             "matrix_file": str(matrix_path),
         }
     }
-    inputs = {"n": args.n, "delta": args.delta, "rule": args.rule, "out_dir": str(out_dir)}
+    inputs = {"n": args.n, "delta": args.delta, "out_dir": str(out_dir)}
     status = "ok" if both_pass else "invariant-violation"
     _write_report(_report("examples", inputs, outputs, status), None)
     return EXIT_OK if both_pass else EXIT_INTERNAL
@@ -395,22 +388,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="ltlt", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def add_rule(p):
-        p.add_argument("--rule", choices=["first", "lowest"], default="first",
-                       help="pivot tie-breaking rule (default: first)")
-
     def add_out(p, help_text="write the JSON report here instead of stdout"):
         p.add_argument("--out", default=None, help=help_text)
 
     p = sub.add_parser("factor", help="factorize a matrix file as P A P^T = L T L^T")
     p.add_argument("input", help="matrix file path")
-    add_rule(p)
     add_out(p)
     p.set_defaults(func=cmd_factor)
 
     p = sub.add_parser("certify", help="factorize and check every growth bound")
     p.add_argument("input", help="matrix file path")
-    add_rule(p)
     add_out(p)
     p.set_defaults(func=cmd_certify)
 
@@ -422,7 +409,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("examples", help="generate an extremal example matrix")
     p.add_argument("--n", type=int, required=True, choices=[4, 5, 6])
     p.add_argument("--delta", type=float, required=True)
-    add_rule(p)
     p.add_argument("--out", default=".", help="directory for the emitted matrix file")
     p.set_defaults(func=cmd_examples)
 
@@ -449,7 +435,7 @@ def main(argv=None) -> int:
     except MatrixFileError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (DeltaWindowError, DomainError, UndefinedGrowthError) as e:
+    except (DeltaWindowError, DomainError, UndefinedGrowthError, OverflowError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DOMAIN
     except ValueError as e:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aasen import AasenFactors, TieRule, factorize
+from .aasen import AasenFactors, factorize
 from .growth import GrowthCertificate, growth_certificate, growth_factor
 from .matcore import (
     PermutationVector,
@@ -136,14 +136,14 @@ def extremal_matrix(n: int, delta: float) -> ExtremalExample:
     )
 
 
-def verify_example(ex: ExtremalExample, rule: TieRule = TieRule.FIRST) -> ExampleReport:
+def verify_example(ex: ExtremalExample) -> ExampleReport:
     """Check the reference factors and compare with a fresh factorization."""
     ref_factors = AasenFactors(p=ex.refP, L=ex.refL, T=ex.refT)
     ref_res = residual(ex.A, ex.refP, ex.refL, ex.refT)
     ref_growth = growth_factor(ex.A, ref_factors)
     ref_cert = growth_certificate(ex.A, ref_factors)
 
-    f = factorize(ex.A, rule)
+    f = factorize(ex.A)
     rec_res = residual(ex.A, f.p, f.L, f.T)
     rec_growth = growth_factor(ex.A, f)
     rec_cert = growth_certificate(ex.A, f)

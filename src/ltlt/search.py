@@ -16,7 +16,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .aasen import TieRule, _stacked_growth, factorize
+from .aasen import _stacked_growth, factorize
 from .growth import growth_factor
 from .matcore import SymmetricMatrix, max_abs
 
@@ -59,7 +59,7 @@ def evaluate_candidate(m: SymmetricMatrix) -> float:
     """Growth factor of the candidate; the zero matrix scores 0 (worst)."""
     if max_abs(m) == 0.0:
         return 0.0
-    return growth_factor(m, factorize(m, TieRule.FIRST))
+    return growth_factor(m, factorize(m))
 
 
 def _sym_stack(v: np.ndarray, n: int, iu) -> np.ndarray:

@@ -34,6 +34,8 @@ def report_of(capsys, *argv):
     assert code == EXIT_OK, err
     report = json.loads(out)
     jsonschema.validate(report, REPORT_SCHEMA)
+    assert report["schema_version"] == "2"
+    assert "rule" not in report["inputs"]
     return report
 
 
@@ -173,6 +175,29 @@ def test_huge_header_is_parse_error(tmp_path, capsys):
     assert "line 3: missing row 2 of 1000000000" in err
 
 
+@pytest.mark.parametrize("command", ["factor", "certify"])
+@pytest.mark.parametrize(
+    "text",
+    [
+        # growth 4 after scaling by 1/1.5e308: the true T is not representable
+        "symmetric 4\n"
+        "1.5e308 1.5e308 1.5e308 1.5e308\n"
+        "1.5e308 1.5e308 1.5e308 -1.5e308\n"
+        "1.5e308 1.5e308 1.5e308 1.5e308\n"
+        "1.5e308 -1.5e308 1.5e308 1.5e308\n",
+        "symmetric 3\n1e308 1e308 -1e308\n1e308 1e308 1e308\n-1e308 1e308 1e308\n",
+    ],
+)
+def test_factor_overflow_is_domain_error(tmp_path, capsys, command, text):
+    path = tmp_path / "big.txt"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, command, str(path))
+    assert code == EXIT_DOMAIN
+    assert out == ""
+    assert "overflow" in err
+    assert "Traceback" not in err
+
+
 def test_cmd_examples(tmp_path, capsys):
     rep = report_of(
         capsys, "examples", "--n", "6", "--delta", "0.4", "--out", str(tmp_path)
@@ -232,6 +257,9 @@ def test_usage_errors(capsys):
     assert code == EXIT_USAGE
     code, _, _ = run_cli(capsys, "unknown-command")
     assert code == EXIT_USAGE
+    code, _, err = run_cli(capsys, "factor", "m.txt", "--rule", "first")
+    assert code == EXIT_USAGE
+    assert "unrecognized arguments" in err
 
 
 def test_missing_file(capsys):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ltlt.aasen import AasenFactors, TieRule
+from ltlt.aasen import AasenFactors
 from ltlt.extremal import DeltaWindowError, extremal_matrix, verify_example
 from ltlt.growth import growth_factor
 from ltlt.matcore import assemble, max_abs, residual
@@ -74,7 +74,7 @@ def test_window_boundaries_valid():
 
 
 def test_verify_n4_half():
-    rep = verify_example(extremal_matrix(4, 0.5), TieRule.FIRST)
+    rep = verify_example(extremal_matrix(4, 0.5))
     assert rep.reference_residual <= 1e-13
     assert abs(rep.recomputed_growth - 7.0) <= 1e-10
     assert rep.reference_certificate.all_pass
