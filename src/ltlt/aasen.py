@@ -2,7 +2,9 @@
 
 L is unit lower triangular with first column e_1, T is symmetric tridiagonal,
 and P is chosen by partial pivoting so that every multiplier satisfies
-|l_ij| <= 1.
+|l_ij| <= 1.  There is one column sweep, _sweep(), over a stack of matrices:
+factorize() runs it on a stack of one, and the search scores a whole stack
+of candidates through _stacked_growth().
 """
 from __future__ import annotations
 
@@ -57,76 +59,22 @@ def _pivot_offset(v: np.ndarray) -> np.ndarray:
     return np.argmax(av >= av.max(axis=-1, keepdims=True) * (1.0 - PIVOT_TIE_REL), axis=-1)
 
 
-def factorize(a: SymmetricMatrix) -> AasenFactors:
-    """Column-by-column Aasen factorization with partial pivoting.
+def _sweep(a: np.ndarray):
+    """Aasen's column sweep on a (B, n, n) stack of finite symmetric matrices.
 
-    Each step forms the working column h of H = T L^T, then the pivot is the
-    entry of largest magnitude among the remaining rows, so multipliers never
-    exceed 1.  A zero working column yields zero multipliers, not a failure;
-    the factorization exists for every finite symmetric matrix.  Raises
-    OverflowError when a factor entry overflows the double range.
-    """
-    if not np.all(np.isfinite(a.entries)):
-        raise ValueError("matrix entries must be finite")
-    n = a.n
-    aw = a.entries.copy()
-    lw = np.eye(n)
-    perm = np.arange(n)
-    alpha = np.zeros(n)
-    beta = np.zeros(max(n - 1, 0))
-
-    # overflow near the top of the double range is reported once, below
-    with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(n):
-            lj = lw[j, : j + 1]
-            h = np.empty(j + 1)
-            if j > 0:
-                hh = alpha[:j] * lj[:j]
-                hh[1:] += beta[: j - 1] * lj[: j - 1]
-                hh += beta[:j] * lj[1 : j + 1]
-                h[:j] = hh
-            h[j] = aw[j, j] - lj[:j] @ h[:j]
-            alpha[j] = h[j] - (beta[j - 1] * lj[j - 1] if j > 0 else 0.0)
-
-            if j < n - 1:
-                v = aw[j + 1 :, j] - lw[j + 1 :, : j + 1] @ h
-                r = int(_pivot_offset(v))
-                if r != 0:
-                    rr = j + 1 + r
-                    v[[0, r]] = v[[r, 0]]
-                    perm[[j + 1, rr]] = perm[[rr, j + 1]]
-                    lw[[j + 1, rr], : j + 1] = lw[[rr, j + 1], : j + 1]
-                    aw[[j + 1, rr], :] = aw[[rr, j + 1], :]
-                    aw[:, [j + 1, rr]] = aw[:, [rr, j + 1]]
-                beta[j] = v[0]
-                if v[0] != 0.0:
-                    # pivoting bounds the quotients by 1 in exact arithmetic; the
-                    # clip removes the one-ulp excess division roundoff can add
-                    lw[j + 2 :, j + 1] = np.clip(v[1:] / v[0], -1.0, 1.0)
-    if not (np.isfinite(alpha).all() and np.isfinite(beta).all() and np.isfinite(lw).all()):
-        raise OverflowError("factorization overflows the double range (non-finite factor entry)")
-
-    return AasenFactors(
-        p=PermutationVector(perm),
-        L=UnitLowerTriangular(np.tril(lw, -1)),
-        T=SymmetricTridiagonal(alpha, beta),
-    )
-
-
-def _stacked_growth(a: np.ndarray) -> np.ndarray:
-    """Growth factors of a (B, n, n) stack of finite symmetric matrices.
-
-    Runs the column sweep of factorize() on all B items at once and keeps only
-    T.  Every item goes through the same floating-point operations as in
-    factorize(): the same elementwise products, one ddot per item for h[j] and
-    one gemv per item for the working column (numpy's stacked matmul makes the
-    same BLAS call per item as the 2-D one), and the same _pivot_offset() test,
-    so each value equals growth_factor(A, factorize(A)) bit for bit.  The zero
-    matrix scores 0, as in search.evaluate_candidate().
+    Returns perm, lw, alpha, beta, each with a leading axis of B: row and
+    column k of P A P^T are row and column perm[k] of A, lw is L with its unit
+    diagonal, and alpha/beta are the diagonal and off-diagonal of T.  Each step
+    forms the working column h of H = T L^T, then the pivot is the entry of
+    largest magnitude among the remaining rows, so multipliers never exceed 1.
+    Every item goes through the same floating-point operations whatever B is:
+    the same elementwise products, one ddot per item for h[j] and one gemv per
+    item for the working column (numpy's stacked matmul makes the same BLAS
+    call per item as the 2-D one), and the same _pivot_offset() test.
     """
     b, n, _ = a.shape
     rows = np.arange(b)
-    perm = np.tile(np.arange(n), (b, 1))  # row/column k of P A P^T is a[perm[k]]
+    perm = np.tile(np.arange(n), (b, 1))
     lw = np.tile(np.eye(n), (b, 1, 1))
     alpha = np.zeros((b, n))
     beta = np.zeros((b, max(n - 1, 0)))
@@ -157,10 +105,45 @@ def _stacked_growth(a: np.ndarray) -> np.ndarray:
             )
             piv = v[:, :1]
             beta[:, j] = piv[:, 0]
-            # a zero pivot leaves the column zero, as factorize() does
+            # a zero pivot (zero working column) leaves zero multipliers;
+            # pivoting bounds the quotients by 1 in exact arithmetic, and the
+            # clip removes the one-ulp excess division roundoff can add
             q = np.divide(v[:, 1:], piv, out=np.zeros_like(v[:, 1:]), where=piv != 0.0)
             lw[:, j + 2 :, j + 1] = np.clip(q, -1.0, 1.0)
+    return perm, lw, alpha, beta
 
+
+def factorize(a: SymmetricMatrix) -> AasenFactors:
+    """Aasen factorization with partial pivoting: _sweep() on a stack of one.
+
+    A zero working column yields zero multipliers, not a failure; the
+    factorization exists for every finite symmetric matrix.  Raises
+    OverflowError when a factor entry overflows the double range.
+    """
+    if not np.all(np.isfinite(a.entries)):
+        raise ValueError("matrix entries must be finite")
+    # overflow near the top of the double range is reported once, below
+    with np.errstate(over="ignore", invalid="ignore"):
+        perm, lw, alpha, beta = _sweep(a.entries[None])
+    if not (np.isfinite(alpha).all() and np.isfinite(beta).all() and np.isfinite(lw).all()):
+        raise OverflowError("factorization overflows the double range (non-finite factor entry)")
+
+    return AasenFactors(
+        p=PermutationVector(perm[0]),
+        L=UnitLowerTriangular(np.tril(lw[0], -1)),
+        T=SymmetricTridiagonal(alpha[0], beta[0]),
+    )
+
+
+def _stacked_growth(a: np.ndarray) -> np.ndarray:
+    """Growth factors of a (B, n, n) stack of finite symmetric matrices.
+
+    Runs _sweep() on all B items at once and keeps only T, so each value
+    equals growth_factor(A, factorize(A)) bit for bit.  The zero matrix
+    scores 0, as in search.evaluate_candidate().
+    """
+    b, n, _ = a.shape
+    _, _, alpha, beta = _sweep(a)
     t = np.abs(alpha).max(axis=1)
     if n > 1:
         t = np.maximum(t, np.abs(beta).max(axis=1))

@@ -170,12 +170,21 @@ def permute_sym(a: SymmetricMatrix, perm: PermutationVector) -> SymmetricMatrix:
 
 
 def assemble(lower: UnitLowerTriangular, tri: SymmetricTridiagonal) -> SymmetricMatrix:
-    """Full product L T L^T, symmetrized as (M + M^T)/2 to kill roundoff skew."""
+    """Full product L T L^T, symmetrized as (M + M^T)/2 to kill roundoff skew.
+
+    Raises OverflowError when the product or its symmetrization leaves the
+    double range.
+    """
     if lower.n != tri.n:
         raise ValueError(f"dimension mismatch: L is {lower.n}, T is {tri.n}")
     lf = lower.full()
-    m = lf @ tri.full() @ lf.T
-    return SymmetricMatrix((m + m.T) / 2.0)
+    # overflow near the top of the double range is reported once, below
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = lf @ tri.full() @ lf.T
+        m = (m + m.T) / 2.0
+    if not np.isfinite(m).all():
+        raise OverflowError("L T L^T overflows the double range (non-finite product entry)")
+    return SymmetricMatrix(m)
 
 
 def residual(
@@ -184,6 +193,9 @@ def residual(
     lower: UnitLowerTriangular,
     tri: SymmetricTridiagonal,
 ) -> float:
-    """Max-abs entry of P A P^T - L T L^T."""
+    """Max-abs entry of P A P^T - L T L^T.
+
+    Raises OverflowError, through assemble(), when L T L^T is not representable.
+    """
     diff = permute_sym(a, perm).entries - assemble(lower, tri).entries
     return float(np.max(np.abs(diff)))

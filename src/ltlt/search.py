@@ -1,13 +1,14 @@
 """Derivative-free maximization of the growth factor over [-1, 1] entries.
 
-Coordinate pattern search on the n(n+1)/2 free entries of a symmetric
-matrix: probe +/- step along every coordinate, accept the best improving
-probe, halve the step when none improves.  Each sweep scores all of its
-probes as one batch through a stacked form of the factorization; the values,
-and so every outcome, are identical to scoring each probe on its own with
-evaluate_candidate().  Restarts are independent, so the outcome is the
-argmax over restarts with ties going to the lowest restart index; identical
-configurations always reproduce the same outcome.
+Coordinate pattern search on the n(n+1)/2 free entries of a symmetric matrix:
+probe +/- step along every coordinate, accept the best improving probe, halve
+the step when none improves.  Each sweep scores all of its probes as one
+batch: the one Aasen column sweep, which factorize() runs on a stack of one,
+runs on the stack of probes, so the values, and every outcome, are identical
+to scoring each probe on its own with evaluate_candidate().  Restarts are
+independent, so the outcome is the argmax over restarts with ties going to
+the lowest restart index; identical configurations always reproduce the same
+outcome.
 """
 from __future__ import annotations
 

@@ -3,11 +3,17 @@
 The oracles here deliberately avoid the code paths they check: the product
 oracle is a pure-Python triple loop, the tridiagonal oracle is a dense
 solve, and the LP oracle enumerates basic points of the inequality system.
+The Aasen oracle factorize_scalar is the column sweep on one matrix, swapping
+rows of a working copy; it is independent of the stacked indexing of
+aasen._sweep and shares only the pivot test, aasen._pivot_offset.
+pattern_search_scalar is independent of the batched search loop only: it
+still scores each probe through the stacked sweep.
 """
 import itertools
 
 import numpy as np
 
+from ltlt.aasen import _pivot_offset
 from ltlt.matcore import SymmetricMatrix
 from ltlt.search import evaluate_candidate
 
@@ -67,6 +73,49 @@ def column_identity_residual(a_perm, l_full, diag, off):
         acc += l_full[i][i - 1] * off[i - 1] + diag[i]
         worst = max(worst, abs(a_perm[i][i] - acc))
     return worst
+
+
+def factorize_scalar(a):
+    """Reference Aasen sweep on one symmetric (n, n) array.
+
+    Returns (perm, L_strict, diag, offdiag) with the same bits that
+    aasen.factorize gives for the same matrix.
+    """
+    aw = np.array(a, dtype=float)
+    n = aw.shape[0]
+    lw = np.eye(n)
+    perm = np.arange(n)
+    alpha = np.zeros(n)
+    beta = np.zeros(max(n - 1, 0))
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(n):
+            lj = lw[j, : j + 1]
+            h = np.empty(j + 1)
+            if j > 0:
+                hh = alpha[:j] * lj[:j]
+                hh[1:] += beta[: j - 1] * lj[: j - 1]
+                hh += beta[:j] * lj[1 : j + 1]
+                h[:j] = hh
+            h[j] = aw[j, j] - lj[:j] @ h[:j]
+            alpha[j] = h[j] - (beta[j - 1] * lj[j - 1] if j > 0 else 0.0)
+
+            if j < n - 1:
+                v = aw[j + 1 :, j] - lw[j + 1 :, : j + 1] @ h
+                r = int(_pivot_offset(v))
+                if r != 0:
+                    rr = j + 1 + r
+                    v[[0, r]] = v[[r, 0]]
+                    perm[[j + 1, rr]] = perm[[rr, j + 1]]
+                    lw[[j + 1, rr], : j + 1] = lw[[rr, j + 1], : j + 1]
+                    aw[[j + 1, rr], :] = aw[[rr, j + 1], :]
+                    aw[:, [j + 1, rr]] = aw[:, [rr, j + 1]]
+                beta[j] = v[0]
+                if v[0] != 0.0:
+                    # pivoting bounds the quotients by 1 in exact arithmetic; the
+                    # clip removes the one-ulp excess division roundoff can add
+                    lw[j + 2 :, j + 1] = np.clip(v[1:] / v[0], -1.0, 1.0)
+    return perm, np.tril(lw, -1), alpha, beta
 
 
 def lp_vertex_minimum(prog, chunk=200_000):

@@ -1,17 +1,27 @@
-"""The stacked growth kernel and the batched search against their references.
+"""The one Aasen sweep and the batched search against their references.
 
-Both comparisons are bitwise: the kernel runs the same floating-point
-operations per item as factorize(), so no tolerance applies.
+factorize() and the stacked growth kernel both run aasen._sweep; both are
+compared with the scalar oracle factorize_scalar, which swaps rows of one
+working matrix instead of indexing a stack.  The batched search is compared
+with pattern_search_scalar, which replaces only the batched sweep loop.  All
+comparisons are bitwise: the same floating-point operations run per item, so
+no tolerance applies.
 """
 import numpy as np
 import pytest
 
-from _helpers import pattern_search_scalar
+from _helpers import factorize_scalar, pattern_search_scalar
 from ltlt import search
-from ltlt.aasen import _stacked_growth
+from ltlt.aasen import AasenFactors, _stacked_growth, factorize
 from ltlt.extremal import extremal_matrix
-from ltlt.matcore import SymmetricMatrix
-from ltlt.search import SearchConfig, evaluate_candidate, maximize_growth
+from ltlt.growth import growth_factor
+from ltlt.matcore import (
+    PermutationVector,
+    SymmetricMatrix,
+    SymmetricTridiagonal,
+    UnitLowerTriangular,
+)
+from ltlt.search import SearchConfig, maximize_growth
 
 
 def _sym(m):
@@ -20,18 +30,30 @@ def _sym(m):
 
 def _assert_matches_reference(stack):
     stack = np.asarray(stack, dtype=float)
-    got = _stacked_growth(stack)
-    want = np.array([evaluate_candidate(SymmetricMatrix(m)) for m in stack])
-    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    want = []
+    for m in stack:
+        perm, l_strict, diag, offdiag = factorize_scalar(m)
+        ref = AasenFactors(
+            PermutationVector(perm),
+            UnitLowerTriangular(l_strict),
+            SymmetricTridiagonal(diag, offdiag),
+        )
+        a = SymmetricMatrix(m)
+        f = factorize(a)
+        for got, exp in [(f.p.p, ref.p.p), (f.L.strict, ref.L.strict),
+                         (f.T.diag, ref.T.diag), (f.T.offdiag, ref.T.offdiag)]:
+            assert got.dtype == exp.dtype and got.tobytes() == exp.tobytes()
+        want.append(growth_factor(a, ref) if np.any(m) else 0.0)
+    assert _stacked_growth(stack).tobytes() == np.array(want).tobytes()
 
 
-@pytest.mark.parametrize("n", range(1, 10))
+@pytest.mark.parametrize("n", [*range(1, 10), 50, 200])
 def test_kernel_matches_factorize_random(n):
     rng = np.random.default_rng([50, n])
     _assert_matches_reference([_sym(rng.uniform(-1.0, 1.0, (n, n))) for _ in range(40)])
 
 
-@pytest.mark.parametrize("n", range(1, 10))
+@pytest.mark.parametrize("n", [*range(1, 10), 50, 200])
 def test_kernel_matches_factorize_exact_ties(n):
     # quarter-quantized entries put exact ties (and zero columns) in the
     # pivot search, where the tie rule decides the row

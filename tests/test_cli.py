@@ -186,6 +186,8 @@ def test_huge_header_is_parse_error(tmp_path, capsys):
         "1.5e308 1.5e308 1.5e308 1.5e308\n"
         "1.5e308 -1.5e308 1.5e308 1.5e308\n",
         "symmetric 3\n1e308 1e308 -1e308\n1e308 1e308 1e308\n-1e308 1e308 1e308\n",
+        # finite factors, but L T L^T overflows when it is assembled
+        "symmetric 2\n1.7e308 1.7e308\n1.7e308 -1.7e308\n",
     ],
 )
 def test_factor_overflow_is_domain_error(tmp_path, capsys, command, text):
