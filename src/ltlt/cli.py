@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 usage or parse error, 2 domain error (validity
 window, LP domain, a factorization overflowing the double range), 3 internal
 invariant violation (a failing certificate, which should never occur).  Every
-successful invocation prints one JSON report validating against REPORT_SCHEMA.
+successful invocation prints one JSON report validating against REPORT_SCHEMA,
+on one line.
 """
 from __future__ import annotations
 
@@ -235,10 +236,13 @@ def read_matrix(path: str) -> SymmetricMatrix:
 
 
 def _cert_dict(cert: GrowthCertificate) -> dict:
+    margin = cert.bound - cert.lhs
     return {
         "rows": [
-            {"label": r.label, "lhs": r.lhs, "bound": r.bound, "margin": r.margin}
-            for r in cert.checks
+            {"label": label, "lhs": lhs, "bound": bound, "margin": m}
+            for label, lhs, bound, m in zip(
+                cert.labels, cert.lhs.tolist(), cert.bound.tolist(), margin.tolist()
+            )
         ],
         "all_pass": cert.all_pass,
         "rho": cert.rho,
@@ -256,7 +260,8 @@ def _report(command: str, inputs: dict, outputs: dict, status: str = "ok") -> di
 
 
 def _write_report(report: dict, out: str | None):
-    text = json.dumps(report, indent=2, allow_nan=False) + "\n"
+    # no indent: json's C encoder only runs on compact output
+    text = json.dumps(report, allow_nan=False) + "\n"
     if out:
         Path(out).write_text(text)
     else:

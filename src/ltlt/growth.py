@@ -4,14 +4,21 @@ The certificate checks every entry bound that pins the growth factor below
 2^(n-1): bounds on the leading entries of T, on the entries of the working
 matrix H = T L^T, and on the trailing rows of T.  All bounds are taken
 relative to the largest entry magnitude of the input matrix.
+
+The bounds are evaluated as two arrays, left-hand sides and bounds, in a
+fixed row order; the labelled rows are built from them only when asked for
+(``GrowthCertificate.labels`` and ``checks``).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, NamedTuple, Tuple
 
+import numpy as np
+
 from .aasen import AasenFactors
-from .matcore import SymmetricMatrix, max_abs
+from .matcore import SymmetricMatrix, _frozen, max_abs
 
 # A check row may undershoot its bound by this much before failing; absorbs
 # roundoff accumulation across dimensions up to ~50.
@@ -29,17 +36,61 @@ class CheckRow(NamedTuple):
     margin: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GrowthCertificate:
-    """Instantiated entrywise bounds for one factorization."""
+    """Instantiated entrywise bounds for one factorization.
+
+    Row k checks ``lhs[k] <= bound[k]``; both arrays are read-only and in
+    the row order documented on growth_certificate().
+    """
 
     rho: float
-    checks: List[CheckRow]
+    lhs: np.ndarray
+    bound: np.ndarray
     all_pass: bool
     n: int
 
+    def __post_init__(self):
+        object.__setattr__(self, "lhs", _frozen(self.lhs))
+        object.__setattr__(self, "bound", _frozen(self.bound))
+
+    def __eq__(self, other):
+        # the generated dataclass __eq__ would compare the arrays with ==, which raises
+        if not isinstance(other, GrowthCertificate):
+            return NotImplemented
+        return (
+            (self.rho, self.all_pass, self.n) == (other.rho, other.all_pass, other.n)
+            and np.array_equal(self.lhs, other.lhs)
+            and np.array_equal(self.bound, other.bound)
+        )
+
+    @cached_property
+    def labels(self) -> List[str]:
+        """Row labels, 1-based indices, e.g. ``"h[2,5]"``."""
+        n = self.n
+        labels = ["t[1,1]", "t[2,1]", "t[2,2]"] if n >= 2 else ["t[1,1]"]
+        if n >= 3:
+            labels += [f"h[1,{i}]" for i in range(3, n + 1)]
+            labels += [f"h[{j},{i}]" for j in range(2, n + 1) for i in range(j + 1, n + 1)]
+            labels.append(f"h[{n},{n}]")
+            for i in range(3, n + 1):
+                labels += [f"t[{i},{i - 1}]", f"t[{i},{i}]"]
+        return labels
+
+    @cached_property
+    def checks(self) -> List[CheckRow]:
+        """The labelled rows, with Python-float fields."""
+        margin = self.bound - self.lhs
+        return [
+            CheckRow(*row)
+            for row in zip(self.labels, self.lhs.tolist(), self.bound.tolist(), margin.tolist())
+        ]
+
     def worst(self) -> CheckRow:
-        return min(self.checks, key=lambda row: row.margin)
+        """The row with the smallest margin; the first one on ties."""
+        k = int(np.argmin(self.bound - self.lhs))
+        lhs, bound = float(self.lhs[k]), float(self.bound[k])
+        return CheckRow(self.labels[k], lhs, bound, bound - lhs)
 
 
 @dataclass(frozen=True)
@@ -80,35 +131,35 @@ def growth_certificate(a: SymmetricMatrix, f: AasenFactors) -> GrowthCertificate
     n = f.n
     diag = f.T.diag / m
     off = f.T.offdiag / m
+    # 2^k for k < n; raises OverflowError from n = 1025 on, as 2.0 ** k does
+    pow2 = np.array([2.0 ** k for k in range(n)])
 
-    checks: List[CheckRow] = []
-
-    def add(label: str, lhs: float, bound: float):
-        lhs = float(lhs)
-        checks.append(CheckRow(label, lhs, bound, bound - lhs))
-
-    add("t[1,1]", abs(diag[0]), 1.0)
-    if n >= 2:
-        add("t[2,1]", abs(off[0]), 1.0)
-        add("t[2,2]", abs(diag[1]), 1.0)
+    lead = [diag[0], off[0], diag[1]] if n >= 2 else [diag[0]]
+    lhs = [np.abs(lead)]
+    bound = [np.ones(len(lead))]
 
     if n >= 3:
         lf = f.L.full()
         h = (f.T.full() @ lf.T) / m  # upper Hessenberg working matrix
+        r, c = np.triu_indices(n - 1, 1)  # h[j,i], 2 <= j < i <= n, row-major
+        lhs += [
+            np.abs(h[0, 2:]),
+            np.abs(h[1:, 1:][r, c]),
+            np.abs(h[n - 1, n - 1 :]),
+            np.abs(np.column_stack((off[1:], diag[2:]))).ravel(),
+        ]
+        bound += [
+            np.ones(n - 2),
+            pow2[r],
+            pow2[n - 2 : n - 1],
+            np.column_stack((pow2[1 : n - 1], pow2[2:])).ravel(),
+        ]
 
-        for i in range(3, n + 1):
-            add(f"h[1,{i}]", abs(h[0, i - 1]), 1.0)
-        for j in range(2, n + 1):
-            for i in range(j + 1, n + 1):
-                add(f"h[{j},{i}]", abs(h[j - 1, i - 1]), 2.0 ** (j - 2))
-        add(f"h[{n},{n}]", abs(h[n - 1, n - 1]), 2.0 ** (n - 2))
-        for i in range(3, n + 1):
-            add(f"t[{i},{i - 1}]", abs(off[i - 2]), 2.0 ** (i - 2))
-            add(f"t[{i},{i}]", abs(diag[i - 1]), 2.0 ** (i - 1))
-
-    all_pass = all(row.margin >= -MARGIN_TOL for row in checks)
+    lhs = np.concatenate(lhs)
+    bound = np.concatenate(bound)
+    all_pass = bool(np.all(bound - lhs >= -MARGIN_TOL))
     rho = f.T.max_abs() / m
-    return GrowthCertificate(rho=rho, checks=checks, all_pass=all_pass, n=n)
+    return GrowthCertificate(rho=rho, lhs=lhs, bound=bound, all_pass=all_pass, n=n)
 
 
 def bound_table(n: int) -> BoundTable:

@@ -7,14 +7,16 @@ The Aasen oracle factorize_scalar is the column sweep on one matrix, swapping
 rows of a working copy; it is independent of the stacked indexing of
 aasen._sweep and shares only the pivot test, aasen._pivot_offset.
 pattern_search_scalar is independent of the batched search loop only: it
-still scores each probe through the stacked sweep.
+still scores each probe through the stacked sweep.  certificate_rows_scalar
+builds the growth certificate one labelled row at a time, sharing only the
+dense H = T L^T product with growth.growth_certificate.
 """
 import itertools
 
 import numpy as np
 
 from ltlt.aasen import _pivot_offset
-from ltlt.matcore import SymmetricMatrix
+from ltlt.matcore import SymmetricMatrix, max_abs
 from ltlt.search import evaluate_candidate
 
 
@@ -116,6 +118,43 @@ def factorize_scalar(a):
                     # clip removes the one-ulp excess division roundoff can add
                     lw[j + 2 :, j + 1] = np.clip(v[1:] / v[0], -1.0, 1.0)
     return perm, np.tril(lw, -1), alpha, beta
+
+
+def certificate_rows_scalar(a, f):
+    """Reference certificate rows [(label, lhs, bound, margin)], one at a time.
+
+    Same rows, order and Python-float arithmetic as growth.growth_certificate
+    documents; the caller rejects the zero matrix.
+    """
+    m = max_abs(a)
+    n = f.n
+    diag = f.T.diag / m
+    off = f.T.offdiag / m
+    rows = []
+
+    def add(label, lhs, bound):
+        lhs = float(lhs)
+        rows.append((label, lhs, bound, bound - lhs))
+
+    add("t[1,1]", abs(diag[0]), 1.0)
+    if n >= 2:
+        add("t[2,1]", abs(off[0]), 1.0)
+        add("t[2,2]", abs(diag[1]), 1.0)
+
+    if n >= 3:
+        lf = f.L.full()
+        h = (f.T.full() @ lf.T) / m
+
+        for i in range(3, n + 1):
+            add(f"h[1,{i}]", abs(h[0, i - 1]), 1.0)
+        for j in range(2, n + 1):
+            for i in range(j + 1, n + 1):
+                add(f"h[{j},{i}]", abs(h[j - 1, i - 1]), 2.0 ** (j - 2))
+        add(f"h[{n},{n}]", abs(h[n - 1, n - 1]), 2.0 ** (n - 2))
+        for i in range(3, n + 1):
+            add(f"t[{i},{i - 1}]", abs(off[i - 2]), 2.0 ** (i - 2))
+            add(f"t[{i},{i}]", abs(diag[i - 1]), 2.0 ** (i - 1))
+    return rows
 
 
 def lp_vertex_minimum(prog, chunk=200_000):

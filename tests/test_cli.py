@@ -6,8 +6,9 @@ import jsonschema
 import numpy as np
 import pytest
 
-from _helpers import rand_sym
+from _helpers import certificate_rows_scalar, rand_sym
 from ltlt import cli, lpcert
+from ltlt.aasen import factorize
 from ltlt.cli import (
     EXIT_DOMAIN,
     EXIT_OK,
@@ -19,6 +20,7 @@ from ltlt.cli import (
     parse_matrix,
 )
 from ltlt.extremal import extremal_matrix
+from ltlt.growth import MARGIN_TOL, growth_factor
 from ltlt.lpcert import solve_lp, tnn_upper_bound
 from ltlt.matcore import SymmetricMatrix
 
@@ -292,6 +294,54 @@ def test_report_out_flag(tmp_path, capsys):
     assert out == ""
     rep = json.loads(dest.read_text())
     jsonschema.validate(rep, REPORT_SCHEMA)
+
+
+@pytest.mark.parametrize("command", ["factor", "certify", "lp", "examples", "search"])
+def test_report_is_one_line(tmp_path, capsys, command):
+    path = tmp_path / "n6.txt"
+    path.write_text(emit_matrix(extremal_matrix(6, 0.4).A))
+    argv = {
+        "factor": ["factor", str(path)],
+        "certify": ["certify", str(path)],
+        "lp": ["lp", "--n", "6"],
+        "examples": ["examples", "--n", "6", "--delta", "0.4", "--out", str(tmp_path)],
+        "search": ["search", "--n", "3", "--restarts", "1"],
+    }[command]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_OK, err
+    assert out.endswith("\n") and out.count("\n") == 1
+    jsonschema.validate(json.loads(out), REPORT_SCHEMA)
+
+
+def test_certify_out_file_matches_stdout(tmp_path, capsys):
+    path = tmp_path / "n6.txt"
+    path.write_text(emit_matrix(extremal_matrix(6, 0.4).A))
+    dest = tmp_path / "report.json"
+    _, stdout, _ = run_cli(capsys, "certify", str(path))
+    code, out, err = run_cli(capsys, "certify", str(path), "--out", str(dest))
+    assert code == EXIT_OK, err
+    assert out == ""
+    assert dest.read_text() == stdout
+
+
+def test_certify_report_matches_oracle(tmp_path, capsys):
+    a = extremal_matrix(6, 0.4).A
+    path = tmp_path / "n6.txt"
+    path.write_text(emit_matrix(a))
+    rep = report_of(capsys, "certify", str(path))
+    f = factorize(a)
+    rows = certificate_rows_scalar(a, f)
+    assert rep["outputs"]["certificate"] == {
+        "rows": [dict(zip(("label", "lhs", "bound", "margin"), row)) for row in rows],
+        "all_pass": all(row[3] >= -MARGIN_TOL for row in rows),
+        "rho": growth_factor(a, f),
+    }
+
+
+def test_write_report_rejects_nan(capsys):
+    with pytest.raises(ValueError):
+        cli._write_report({"residual": float("nan")}, None)
+    assert capsys.readouterr().out == ""
 
 
 def test_module_entrypoint_subprocess(tmp_path):

@@ -1,17 +1,23 @@
 import numpy as np
 import pytest
 
-from _helpers import rand_sym
+from _helpers import certificate_rows_scalar, rand_sym
 from ltlt.aasen import AasenFactors, factorize
 from ltlt.extremal import extremal_matrix
 from ltlt.growth import (
+    MARGIN_TOL,
     UndefinedGrowthError,
     bound_table,
     growth_certificate,
     growth_factor,
     reference_growth_targets,
 )
-from ltlt.matcore import SymmetricMatrix
+from ltlt.matcore import (
+    PermutationVector,
+    SymmetricMatrix,
+    SymmetricTridiagonal,
+    UnitLowerTriangular,
+)
 
 
 def _ref_factors(ex):
@@ -90,6 +96,112 @@ def test_certificate_random_sweep():
         assert cert.all_pass
         # certificate dominance: passing rows cap the growth factor
         assert cert.rho <= 2.0 ** (n - 1) + 1e-9
+
+
+def _float_bytes(values):
+    return np.array(values, dtype=float).tobytes()
+
+
+def _assert_matches_oracle(a, f):
+    """growth_certificate against the row-at-a-time oracle, bit for bit."""
+    cert = growth_certificate(a, f)
+    want = certificate_rows_scalar(a, f)
+    got = cert.checks
+    assert cert.labels == [row[0] for row in want]
+    assert [row.label for row in got] == cert.labels
+    for k in (1, 2, 3):
+        assert _float_bytes([row[k] for row in got]) == _float_bytes([row[k] for row in want])
+    assert all(type(x) is float for row in got for x in row[1:])
+    assert cert.lhs.tobytes() == _float_bytes([row[1] for row in want])
+    assert cert.bound.tobytes() == _float_bytes([row[2] for row in want])
+    assert cert.all_pass is all(row[3] >= -MARGIN_TOL for row in want)
+    assert cert.rho == growth_factor(a, f)
+    worst = cert.worst()
+    assert type(worst.lhs) is float and type(worst.margin) is float
+    assert tuple(worst) == min(want, key=lambda row: row[3])
+    return cert, want
+
+
+@pytest.mark.parametrize("n", range(1, 31))
+def test_certificate_matches_oracle_random(n):
+    rng = np.random.default_rng([60, n])
+    for _ in range(3):
+        a = rand_sym(rng, n)
+        _assert_matches_oracle(a, factorize(a))
+        # quarter-quantized entries: exact ties in the pivot search and in H
+        q = SymmetricMatrix(np.round(4.0 * a.entries) / 4.0)
+        if np.any(q.entries):
+            _assert_matches_oracle(q, factorize(q))
+
+
+@pytest.mark.parametrize("n", [50, 200])
+def test_certificate_matches_oracle_large(n):
+    a = rand_sym(np.random.default_rng([61, n]), n)
+    _assert_matches_oracle(a, factorize(a))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6, 12])
+def test_certificate_matches_oracle_identity_and_ones(n):
+    for entries in (np.eye(n), np.ones((n, n))):
+        a = SymmetricMatrix(entries)
+        _assert_matches_oracle(a, factorize(a))
+
+
+@pytest.mark.parametrize("n,deltas", [
+    (4, (1e-6, 0.01, 0.05, 0.5, 1.0, 2.0)),
+    (5, (1e-6, 0.01, 0.1, 0.5, 1.0)),
+    (6, (0.4, 0.5, 0.6, 0.8)),
+])
+def test_certificate_matches_oracle_extremal(n, deltas):
+    for d in deltas:
+        ex = extremal_matrix(n, d)
+        _assert_matches_oracle(ex.A, factorize(ex.A))
+        _assert_matches_oracle(ex.A, _ref_factors(ex))
+
+
+def test_certificate_failing_rows_match_oracle():
+    # factors built by hand, not from A: T breaks several bounds, so the
+    # certificate must fail on the same first row the oracle fails on
+    lower = np.zeros((5, 5))
+    lower[2:, 1] = [1.0, -0.5, 0.25]
+    lower[3:, 2] = [1.0, -1.0]
+    lower[4, 3] = 0.5
+    f = AasenFactors(
+        p=PermutationVector.identity(5),
+        L=UnitLowerTriangular(lower),
+        T=SymmetricTridiagonal(
+            np.array([0.5, -1.0, 3.0, -9.0, 40.0]), np.array([1.0, 2.5, -1.0, 7.0])
+        ),
+    )
+    cert, want = _assert_matches_oracle(SymmetricMatrix(np.eye(5)), f)
+    assert cert.all_pass is False
+    first_fail = next(row for row in cert.checks if row.margin < -MARGIN_TOL)
+    assert tuple(first_fail) == next(row for row in want if row[3] < -MARGIN_TOL)
+    assert cert.worst().margin < -MARGIN_TOL
+
+
+def test_certificate_worst_first_of_ties():
+    # identity: t[1,1] and t[2,2] both sit exactly on their bound
+    a = SymmetricMatrix(np.eye(6))
+    cert = growth_certificate(a, factorize(a))
+    assert [row.label for row in cert.checks if row.margin == 0.0][:2] == ["t[1,1]", "t[2,2]"]
+    assert cert.worst() == ("t[1,1]", 1.0, 1.0, 0.0)
+
+
+def test_certificate_equality_by_value():
+    a = SymmetricMatrix(np.eye(4))
+    f = factorize(a)
+    assert growth_certificate(a, f) == growth_certificate(a, f)
+    assert growth_certificate(a, f) != growth_certificate(SymmetricMatrix(2.0 * np.eye(4)), f)
+
+
+def test_certificate_arrays_are_read_only():
+    a = SymmetricMatrix(np.eye(4))
+    cert = growth_certificate(a, factorize(a))
+    with pytest.raises(ValueError):
+        cert.lhs[0] = 0.0
+    with pytest.raises(ValueError):
+        cert.bound[0] = 0.0
 
 
 def test_growth_scale_invariance():
