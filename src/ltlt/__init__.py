@@ -2,9 +2,9 @@
 
 Factorizes symmetric indefinite matrices as P A P^T = L T L^T with bounded
 multipliers, certifies the entrywise growth bounds that cap the growth
-factor at 2^(n-1), solves the slack linear program showing that bound is
-not tight from dimension 6 on, and ships the extremal example family plus
-a direct-search growth maximizer.
+factor at 2^(n-1), gives the exactly checked optimum of the slack linear
+program showing that bound is not tight from dimension 6 on, and ships the
+extremal example family plus a direct-search growth maximizer.
 """
 from .aasen import (
     AasenFactors,

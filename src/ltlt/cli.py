@@ -1,10 +1,11 @@
 """Command-line front end: matrix file I/O and report-producing subcommands.
 
 Exit codes: 0 success, 1 usage or parse error, 2 domain error (validity
-window, LP domain, a factorization overflowing the double range), 3 internal
-invariant violation (a failing certificate, which should never occur).  Every
-successful invocation prints one JSON report validating against REPORT_SCHEMA,
-on one line.
+window, an lp or search dimension outside 3..MAX_N, a factorization or a
+certificate bound overflowing the double range), 3 internal invariant
+violation (a failing certificate, which should never occur).  Every
+successful invocation prints one JSON report validating against
+REPORT_SCHEMA, on one line.
 """
 from __future__ import annotations
 
@@ -19,6 +20,7 @@ import numpy as np
 from .aasen import factorize
 from .extremal import DeltaWindowError, extremal_matrix, verify_example
 from .growth import (
+    MAX_N,
     GrowthCertificate,
     UndefinedGrowthError,
     growth_certificate,
@@ -37,10 +39,6 @@ EXIT_INTERNAL = 3
 
 # Asymmetry allowed in an input file before it is rejected.
 SYMMETRY_TOL = 1e-12
-
-# Largest dimension for lp and search: their bounds 2^(n-1) overflow a
-# double from n = 1025 on.
-MAX_N = 1024
 
 
 class MatrixFileError(ValueError):
@@ -309,19 +307,19 @@ def cmd_lp(args) -> int:
     _check_n("lp", args.n)
     prog = build_program(args.n)
     sol = solve_lp(prog)
-    if sol.status != "optimal":
-        raise DomainError(f"delta program for n={args.n} is {sol.status}")
+    # the program and its optimum are exact ints; the report holds floats
     outputs = {
         "lp": {
             "rows": [
-                {"label": r.label, "coeffs": list(r.coeffs), "lo": r.lo, "up": r.up}
+                {"label": r.label, "coeffs": list(map(float, r.coeffs)),
+                 "lo": float(r.lo), "up": float(r.up)}
                 for r in prog.rows
             ],
-            "objective": sol.objective_value,
-            "point": sol.point.tolist(),
+            "objective": float(sol.objective_value),
+            "point": list(map(float, sol.point)),
             "iterations": sol.iterations,
-            "tnn_bound": 2.0 ** (args.n - 1) - sol.objective_value,
-            "bound_not_tight": sol.objective_value > 1e-9,
+            "tnn_bound": float(2 ** (args.n - 1) - sol.objective_value),
+            "bound_not_tight": sol.objective_value > 0,
         }
     }
     _write_report(_report("lp", {"n": args.n}, outputs), args.out)

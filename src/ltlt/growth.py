@@ -18,11 +18,14 @@ from typing import List, NamedTuple, Tuple
 import numpy as np
 
 from .aasen import AasenFactors
-from .matcore import SymmetricMatrix, _frozen, max_abs
+from .matcore import SymmetricMatrix, _frozen, _value_eq, max_abs
 
 # A check row may undershoot its bound by this much before failing; absorbs
 # roundoff accumulation across dimensions up to ~50.
 MARGIN_TOL = 1e-10
+
+# Largest dimension: the bounds 2^(n-1) overflow a double from n = 1025 on.
+MAX_N = 1024
 
 
 class UndefinedGrowthError(ValueError):
@@ -36,7 +39,7 @@ class CheckRow(NamedTuple):
     margin: float
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class GrowthCertificate:
     """Instantiated entrywise bounds for one factorization.
 
@@ -49,20 +52,11 @@ class GrowthCertificate:
     bound: np.ndarray
     all_pass: bool
     n: int
+    __eq__ = _value_eq
 
     def __post_init__(self):
         object.__setattr__(self, "lhs", _frozen(self.lhs))
         object.__setattr__(self, "bound", _frozen(self.bound))
-
-    def __eq__(self, other):
-        # the generated dataclass __eq__ would compare the arrays with ==, which raises
-        if not isinstance(other, GrowthCertificate):
-            return NotImplemented
-        return (
-            (self.rho, self.all_pass, self.n) == (other.rho, other.all_pass, other.n)
-            and np.array_equal(self.lhs, other.lhs)
-            and np.array_equal(self.bound, other.bound)
-        )
 
     @cached_property
     def labels(self) -> List[str]:
@@ -123,15 +117,17 @@ def growth_certificate(a: SymmetricMatrix, f: AasenFactors) -> GrowthCertificate
       |h[n,n]| <= 2^(n-2)             (equals |l_(n,n-1) t_(n-1,n) + t_nn|)
       |t[i,i-1]| <= 2^(i-2),  |t[i,i]| <= 2^(i-1)   for 3 <= i <= n
 
-    For n < 3 only the first group applies.
+    For n < 3 only the first group applies.  Raises OverflowError for
+    n > MAX_N, where the bounds are not representable.
     """
     m = max_abs(a)
     if m == 0.0:
         raise UndefinedGrowthError("certificate is undefined for the zero matrix")
     n = f.n
+    if n > MAX_N:
+        raise OverflowError(f"certificate needs n <= {MAX_N} (2^(n-1) overflows a double), got {n}")
     diag = f.T.diag / m
     off = f.T.offdiag / m
-    # 2^k for k < n; raises OverflowError from n = 1025 on, as 2.0 ** k does
     pow2 = np.array([2.0 ** k for k in range(n)])
 
     lead = [diag[0], off[0], diag[1]] if n >= 2 else [diag[0]]

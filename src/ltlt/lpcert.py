@@ -5,27 +5,27 @@ delta = sum(delta_j) that the entry t_nn must give up relative to 2^(n-1).
 A zero optimum means the bound can be approached; a positive optimum proves
 |t_nn| stays strictly below 2^(n-1) * max|a_ij|.
 
-The solver is a self-contained two-phase tableau simplex with Bland's rule,
-deterministic for a fixed program.
+The program data are Python ints.  No solver runs: solve_lp() returns the
+closed-form optimum, 0 for n <= 5 and 2^(n-1) - 28 from n = 6 on, once
+verify() has checked it and a dual certificate exactly against the rows.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, NamedTuple, Tuple
+from operator import mul
+from typing import NamedTuple, Tuple
 
 import numpy as np
 
-# Tolerance covering simplex arithmetic only; program data is exact in floats.
+# Slack for max_violation() on a float point, such as one read from a report.
 FEASIBILITY_TOL = 1e-9
-
-_RC_TOL = 1e-12  # reduced-cost / pivot-column noise floor
 
 
 class ConstraintRow(NamedTuple):
     label: str
-    coeffs: Tuple[float, ...]
-    lo: float
-    up: float
+    coeffs: Tuple[int, ...]
+    lo: int
+    up: int
 
 
 @dataclass(frozen=True)
@@ -34,7 +34,7 @@ class DeltaProgram:
 
     n: int
     num_vars: int
-    objective: Tuple[float, ...]
+    objective: Tuple[int, ...]
     rows: Tuple[ConstraintRow, ...]
 
     def max_violation(self, x) -> float:
@@ -49,10 +49,9 @@ class DeltaProgram:
 
 @dataclass(frozen=True)
 class LPSolution:
-    status: str  # "optimal" | "infeasible"
-    objective_value: float
-    point: np.ndarray
-    iterations: int
+    objective_value: int
+    point: Tuple[int, ...]
+    iterations: int = 0  # the optimum is closed-form: no pivots
 
 
 def build_program(n: int) -> DeltaProgram:
@@ -69,172 +68,87 @@ def build_program(n: int) -> DeltaProgram:
     if n < 3:
         raise ValueError("delta program requires n >= 3")
     nv = n - 1
-    rows: List[ConstraintRow] = []
+    rows = []
+
+    def add(label, prefix_coeff, prefix_len, last, lo, up):
+        # prefix_coeff on delta_0 .. delta_(prefix_len-1), then the coefficients last
+        c = [prefix_coeff] * prefix_len + last
+        rows.append(ConstraintRow(label, tuple(c + [0] * (nv - len(c))), lo, up))
 
     for j in range(nv):
-        c = np.zeros(nv)
-        c[j] = 1.0
-        rows.append(ConstraintRow(f"box[{j}]", tuple(c), 0.0, 2.0 ** (j + 1)))
-
+        add(f"box[{j}]", 0, j, [1], 0, 2 ** (j + 1))
     for q in range(3, n):
-        c = np.zeros(nv)
-        c[q - 2] = 1.0
-        c[: q - 2] -= 1.0
-        rows.append(ConstraintRow(f"chain[q={q}]", tuple(c), 0.0, 2.0))
-
+        add(f"chain[q={q}]", -1, q - 2, [1], 0, 2)
     for q in range(3, n - 1):
-        c = np.zeros(nv)
-        c[: q - 3] += 7.0
-        c[q - 3] -= 1.0
-        c[q - 2] += 1.0
-        rows.append(ConstraintRow(f"power[q={q}]", tuple(c), 2.0**q - 14.0, 2.0**q))
-
+        add(f"power[q={q}]", 7, q - 3, [-1, 1], 2**q - 14, 2**q)
     if n >= 4:
-        c = np.zeros(nv)
-        c[: n - 4] += 3.0
-        c[n - 4] -= 1.0
-        c[n - 3] += 1.0
-        c[n - 2] -= 1.0
-        rows.append(ConstraintRow("tail", tuple(c), -6.0, 0.0))
+        add("tail", 3, n - 4, [-1, 1, -1], -6, 0)
 
-    return DeltaProgram(n=n, num_vars=nv, objective=(1.0,) * nv, rows=tuple(rows))
+    return DeltaProgram(n=n, num_vars=nv, objective=(1,) * nv, rows=tuple(rows))
 
 
-def _one_sided(prog: DeltaProgram):
-    """Split two-sided rows into (coeffs, rhs, sense) with sense in {<=, >=}."""
-    out = []
-    for row in prog.rows:
-        a = np.asarray(row.coeffs, dtype=float)
-        if np.isfinite(row.up):
-            out.append((a, row.up, "<="))
-        if np.isfinite(row.lo):
-            out.append((a, row.lo, ">="))
-    return out
+def _optimum(n: int) -> Tuple[Tuple[int, ...], dict]:
+    """Closed-form optimal point and dual multipliers of build_program(n).
 
-
-def _bland_simplex(tab: np.ndarray, basis: List[int], ncols: int) -> int:
-    """Run simplex pivots in place until optimal; returns the pivot count.
-
-    Entering: smallest column index with negative reduced cost (Bland).
-    Leaving: minimum ratio, ties broken by smallest basic-variable index.
+    n <= 5: the point 0, proved optimal by the lower sides of the box rows.
+    n >= 6: 1 x tail (up) + 8 x chain[q=n-3] + 2 x chain[q=n-1] + 2 x power[q=n-2]
+    (lo) sum to sum_j delta_j >= 2^(n-1) - 28, and the point meets those four
+    rows with equality: prefix sums 2^(k+1) - 1 for k <= n-7 and s = 2^(n-5) - 2
+    at k = n-6, then the coordinates s, 2^(n-4) - 2, 2^(n-3) - 6, 2^(n-2) - 16.
     """
-    m = tab.shape[0] - 1
-    iters = 0
-    while True:
-        rc = tab[-1, :ncols]
-        candidates = np.flatnonzero(rc < -_RC_TOL)
-        if candidates.size == 0:
-            return iters
-        col = int(candidates[0])
-        ratios = []
-        for i in range(m):
-            a = tab[i, col]
-            if a > _RC_TOL:
-                ratios.append((tab[i, -1] / a, basis[i], i))
-        if not ratios:
-            raise RuntimeError("LP is unbounded; delta programs are box-bounded")
-        _, _, row = min(ratios)
-        piv = tab[row, col]
-        tab[row, :] /= piv
-        for i in range(m + 1):
-            if i != row and tab[i, col] != 0.0:
-                tab[i, :] -= tab[i, col] * tab[row, :]
-        basis[row] = col
-        iters += 1
+    if n <= 5:
+        return (0,) * (n - 1), {(f"box[{j}]", "lo"): 1 for j in range(n - 1)}
+    head = [2**k for k in range(n - 5)]
+    head[-1] -= 1  # delta_(n-6) = s - (2^(n-6) - 1)
+    point = head + [2 ** (n - 5) - 2, 2 ** (n - 4) - 2, 2 ** (n - 3) - 6, 2 ** (n - 2) - 16]
+    duals = {("tail", "up"): 1, (f"chain[q={n - 3}]", "lo"): 8,
+             (f"chain[q={n - 1}]", "lo"): 2, (f"power[q={n - 2}]", "lo"): 2}
+    return tuple(point), duals
+
+
+def verify(prog: DeltaProgram, point, duals: dict) -> int:
+    """Check optimality exactly and return the optimal objective.
+
+    duals maps (row label, side) to a multiplier: side "lo" adds row >= lo,
+    side "up" adds -row >= -up.  Raises ValueError unless the point meets
+    every row, every multiplier is nonnegative, and the weighted rows sum to
+    prog.objective with a right-hand side equal to the point's objective;
+    weak duality then makes the point optimal.  Int data make it exact.
+    """
+    if len(point) != prog.num_vars:
+        raise ValueError(f"point has {len(point)} coordinates, program has {prog.num_vars}")
+    for row in prog.rows:
+        val = sum(map(mul, row.coeffs, point))
+        if not row.lo <= val <= row.up:
+            raise ValueError(f"point violates {row.label}: {val} not in [{row.lo}, {row.up}]")
+    rows = {row.label: row for row in prog.rows}
+    coeffs, rhs = [0] * prog.num_vars, 0
+    for (label, side), weight in duals.items():
+        row = rows.get(label)
+        if weight < 0 or row is None or side not in ("lo", "up"):
+            raise ValueError(f"multiplier {weight} on {label} ({side}): negative or not a row")
+        w, side_rhs = (weight, row.lo) if side == "lo" else (-weight, row.up)
+        coeffs = [c + w * a for c, a in zip(coeffs, row.coeffs)]
+        rhs += w * side_rhs
+    if tuple(coeffs) != prog.objective:
+        raise ValueError("weighted rows do not sum to the objective")
+    value = sum(map(mul, prog.objective, point))
+    if rhs != value:
+        raise ValueError(f"dual bound {rhs} differs from the point's objective {value}")
+    return value
 
 
 def solve_lp(prog: DeltaProgram) -> LPSolution:
-    """Two-phase simplex with Bland's anti-cycling rule.
-
-    Variables are treated as nonnegative, which every delta program
-    guarantees through its box rows.  Deterministic for a fixed program.
-    """
-    nv = prog.num_vars
-    sided = _one_sided(prog)
-    m = len(sided)
-    nslack = m
-
-    # Equality form: original vars | one slack per row | artificials as needed.
-    a_eq = np.zeros((m, nv + nslack))
-    b_eq = np.zeros(m)
-    for i, (a, rhs, sense) in enumerate(sided):
-        a_eq[i, :nv] = a
-        a_eq[i, nv + i] = 1.0 if sense == "<=" else -1.0
-        b_eq[i] = rhs
-        if rhs < 0.0:
-            a_eq[i, :] *= -1.0
-            b_eq[i] *= -1.0
-
-    need_art = [i for i in range(m) if a_eq[i, nv + i] != 1.0]
-    nart = len(need_art)
-    ncols = nv + nslack + nart
-
-    tab = np.zeros((m + 1, ncols + 1))
-    tab[:m, : nv + nslack] = a_eq
-    tab[:m, -1] = b_eq
-    basis: List[int] = []
-    art_of_row = {row: nv + nslack + k for k, row in enumerate(need_art)}
-    for i in range(m):
-        if i in art_of_row:
-            tab[i, art_of_row[i]] = 1.0
-            basis.append(art_of_row[i])
-        else:
-            basis.append(nv + i)
-
-    iterations = 0
-    if nart:
-        # Phase 1: minimize the artificial sum, priced out against the basis.
-        tab[-1, :] = 0.0
-        tab[-1, nv + nslack : ncols] = 1.0
-        for i, bv in enumerate(basis):
-            if bv >= nv + nslack:
-                tab[-1, :] -= tab[i, :]
-        iterations += _bland_simplex(tab, basis, ncols)
-        if tab[-1, -1] < -FEASIBILITY_TOL:
-            return LPSolution("infeasible", float("nan"), np.full(nv, np.nan), iterations)
-        # Pivot leftover artificials out of the basis; drop redundant rows.
-        keep = []
-        for i in range(m):
-            if basis[i] >= nv + nslack:
-                nonzero = np.flatnonzero(np.abs(tab[i, : nv + nslack]) > _RC_TOL)
-                if nonzero.size == 0:
-                    continue  # redundant row
-                col = int(nonzero[0])
-                piv = tab[i, col]
-                tab[i, :] /= piv
-                for k in range(tab.shape[0]):
-                    if k != i and tab[k, col] != 0.0:
-                        tab[k, :] -= tab[k, col] * tab[i, :]
-                basis[i] = col
-            keep.append(i)
-        if len(keep) != m:
-            tab = np.vstack([tab[keep, :], tab[-1:, :]])
-            basis = [basis[i] for i in keep]
-            m = len(keep)
-
-    # Phase 2 on the original costs; artificial columns excluded from pricing.
-    tab[-1, :] = 0.0
-    tab[-1, :nv] = prog.objective
-    for i, bv in enumerate(basis):
-        if bv < nv and tab[-1, bv] != 0.0:
-            tab[-1, :] -= tab[-1, bv] * tab[i, :]
-    iterations += _bland_simplex(tab, basis, nv + nslack)
-
-    x = np.zeros(nv)
-    for i, bv in enumerate(basis):
-        if bv < nv:
-            x[bv] = tab[i, -1]
-    return LPSolution("optimal", float(np.dot(prog.objective, x)), x, iterations)
+    """The closed-form optimum of prog, once verify() accepts it (else ValueError)."""
+    point, duals = _optimum(prog.n)
+    return LPSolution(verify(prog, point, duals), point)
 
 
-def min_delta(n: int) -> float:
-    """Optimal total slack for dimension n: 0 for n <= 5, positive for n >= 6."""
-    sol = solve_lp(build_program(n))
-    if sol.status != "optimal":
-        raise RuntimeError(f"delta program for n={n} reported {sol.status}")
-    return sol.objective_value
+def min_delta(n: int) -> int:
+    """Optimal total slack for dimension n, exact: 0 for n <= 5, 2^(n-1) - 28 after."""
+    return solve_lp(build_program(n)).objective_value
 
 
 def tnn_upper_bound(n: int) -> float:
     """Upper bound on |t_nn| / max|a_ij|: 2^(n-1) minus the optimal slack."""
-    return 2.0 ** (n - 1) - min_delta(n)
+    return float(2 ** (n - 1) - min_delta(n))

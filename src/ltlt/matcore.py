@@ -5,7 +5,7 @@ so instances can be shared freely across threads.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -20,11 +20,19 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _value_eq(self, other):
+    # the generated dataclass __eq__ compares array fields with ==, which raises
+    if type(other) is not type(self):
+        return NotImplemented
+    return all(np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+
+
 @dataclass(frozen=True)
 class SymmetricMatrix:
     """n-by-n real symmetric matrix; storage is exactly symmetric."""
 
     entries: np.ndarray
+    __eq__ = _value_eq
 
     def __post_init__(self):
         a = _frozen(self.entries)
@@ -63,6 +71,7 @@ class PermutationVector:
     """A bijection p on {0, ..., n-1}, applied as row/column selection."""
 
     p: np.ndarray
+    __eq__ = _value_eq
 
     def __post_init__(self):
         p = np.array(self.p, dtype=np.intp)
@@ -95,6 +104,7 @@ class UnitLowerTriangular:
     """
 
     strict: np.ndarray
+    __eq__ = _value_eq
 
     def __post_init__(self):
         a = _frozen(self.strict)
@@ -128,6 +138,7 @@ class SymmetricTridiagonal:
 
     diag: np.ndarray
     offdiag: np.ndarray
+    __eq__ = _value_eq
 
     def __post_init__(self):
         d = _frozen(self.diag)

@@ -3,6 +3,8 @@
 The oracles here deliberately avoid the code paths they check: the product
 oracle is a pure-Python triple loop, the tridiagonal oracle is a dense
 solve, and the LP oracle enumerates basic points of the inequality system.
+lp_simplex is the float two-phase simplex that once solved the slack LP; it
+checks the exact closed-form optimum of lpcert.solve_lp up to n = 20.
 The Aasen oracle factorize_scalar is the column sweep on one matrix, swapping
 rows of a working copy; it is independent of the stacked indexing of
 aasen._sweep and shares only the pivot test, aasen._pivot_offset.
@@ -12,10 +14,12 @@ builds the growth certificate one labelled row at a time, sharing only the
 dense H = T L^T product with growth.growth_certificate.
 """
 import itertools
+from typing import List, NamedTuple
 
 import numpy as np
 
 from ltlt.aasen import _pivot_offset
+from ltlt.lpcert import FEASIBILITY_TOL, DeltaProgram
 from ltlt.matcore import SymmetricMatrix, max_abs
 from ltlt.search import evaluate_candidate
 
@@ -194,6 +198,144 @@ def lp_vertex_minimum(prog, chunk=200_000):
         if feas.any():
             best = min(best, float((x[feas] @ c).min()))
     return best
+
+
+_RC_TOL = 1e-12  # reduced-cost / pivot-column noise floor
+
+
+class SimplexResult(NamedTuple):
+    status: str  # "optimal" | "infeasible"
+    objective_value: float
+    point: np.ndarray
+    iterations: int
+
+
+def _one_sided(prog: DeltaProgram):
+    """Split two-sided rows into (coeffs, rhs, sense) with sense in {<=, >=}."""
+    out = []
+    for row in prog.rows:
+        a = np.asarray(row.coeffs, dtype=float)
+        if np.isfinite(row.up):
+            out.append((a, row.up, "<="))
+        if np.isfinite(row.lo):
+            out.append((a, row.lo, ">="))
+    return out
+
+
+def _bland_simplex(tab: np.ndarray, basis: List[int], ncols: int) -> int:
+    """Run simplex pivots in place until optimal; returns the pivot count.
+
+    Entering: smallest column index with negative reduced cost (Bland).
+    Leaving: minimum ratio, ties broken by smallest basic-variable index.
+    """
+    m = tab.shape[0] - 1
+    iters = 0
+    while True:
+        rc = tab[-1, :ncols]
+        candidates = np.flatnonzero(rc < -_RC_TOL)
+        if candidates.size == 0:
+            return iters
+        col = int(candidates[0])
+        ratios = []
+        for i in range(m):
+            a = tab[i, col]
+            if a > _RC_TOL:
+                ratios.append((tab[i, -1] / a, basis[i], i))
+        if not ratios:
+            raise RuntimeError("LP is unbounded; delta programs are box-bounded")
+        _, _, row = min(ratios)
+        piv = tab[row, col]
+        tab[row, :] /= piv
+        for i in range(m + 1):
+            if i != row and tab[i, col] != 0.0:
+                tab[i, :] -= tab[i, col] * tab[row, :]
+        basis[row] = col
+        iters += 1
+
+
+def lp_simplex(prog: DeltaProgram) -> SimplexResult:
+    """Two-phase simplex with Bland's anti-cycling rule, in floats.
+
+    Variables are treated as nonnegative, which every delta program
+    guarantees through its box rows.  Deterministic for a fixed program.
+    Rounding makes it wrong on delta programs past n = 20.
+    """
+    nv = prog.num_vars
+    sided = _one_sided(prog)
+    m = len(sided)
+    nslack = m
+
+    # Equality form: original vars | one slack per row | artificials as needed.
+    a_eq = np.zeros((m, nv + nslack))
+    b_eq = np.zeros(m)
+    for i, (a, rhs, sense) in enumerate(sided):
+        a_eq[i, :nv] = a
+        a_eq[i, nv + i] = 1.0 if sense == "<=" else -1.0
+        b_eq[i] = rhs
+        if rhs < 0.0:
+            a_eq[i, :] *= -1.0
+            b_eq[i] *= -1.0
+
+    need_art = [i for i in range(m) if a_eq[i, nv + i] != 1.0]
+    nart = len(need_art)
+    ncols = nv + nslack + nart
+
+    tab = np.zeros((m + 1, ncols + 1))
+    tab[:m, : nv + nslack] = a_eq
+    tab[:m, -1] = b_eq
+    basis: List[int] = []
+    art_of_row = {row: nv + nslack + k for k, row in enumerate(need_art)}
+    for i in range(m):
+        if i in art_of_row:
+            tab[i, art_of_row[i]] = 1.0
+            basis.append(art_of_row[i])
+        else:
+            basis.append(nv + i)
+
+    iterations = 0
+    if nart:
+        # Phase 1: minimize the artificial sum, priced out against the basis.
+        tab[-1, :] = 0.0
+        tab[-1, nv + nslack : ncols] = 1.0
+        for i, bv in enumerate(basis):
+            if bv >= nv + nslack:
+                tab[-1, :] -= tab[i, :]
+        iterations += _bland_simplex(tab, basis, ncols)
+        if tab[-1, -1] < -FEASIBILITY_TOL:
+            return SimplexResult("infeasible", float("nan"), np.full(nv, np.nan), iterations)
+        # Pivot leftover artificials out of the basis; drop redundant rows.
+        keep = []
+        for i in range(m):
+            if basis[i] >= nv + nslack:
+                nonzero = np.flatnonzero(np.abs(tab[i, : nv + nslack]) > _RC_TOL)
+                if nonzero.size == 0:
+                    continue  # redundant row
+                col = int(nonzero[0])
+                piv = tab[i, col]
+                tab[i, :] /= piv
+                for k in range(tab.shape[0]):
+                    if k != i and tab[k, col] != 0.0:
+                        tab[k, :] -= tab[k, col] * tab[i, :]
+                basis[i] = col
+            keep.append(i)
+        if len(keep) != m:
+            tab = np.vstack([tab[keep, :], tab[-1:, :]])
+            basis = [basis[i] for i in keep]
+            m = len(keep)
+
+    # Phase 2 on the original costs; artificial columns excluded from pricing.
+    tab[-1, :] = 0.0
+    tab[-1, :nv] = prog.objective
+    for i, bv in enumerate(basis):
+        if bv < nv and tab[-1, bv] != 0.0:
+            tab[-1, :] -= tab[-1, bv] * tab[i, :]
+    iterations += _bland_simplex(tab, basis, nv + nslack)
+
+    x = np.zeros(nv)
+    for i, bv in enumerate(basis):
+        if bv < nv:
+            x[bv] = tab[i, -1]
+    return SimplexResult("optimal", float(np.dot(prog.objective, x)), x, iterations)
 
 
 def pattern_search_scalar(x0, cfg, iu):

@@ -93,7 +93,7 @@ def test_criterion_05_lp_dichotomy():
         assert abs(solve_lp(prog).objective_value - lp_vertex_minimum(prog)) <= 1e-8
     values = ", ".join(f"n={n}: {v:g}" for n, v in computed.items())
     _stamp(5, f"min slack 0 for n<=5, positive for n>=6 (computed: {values}); "
-              "simplex matches vertex enumeration for n<=8", t0, 30.0)
+              "exact LP optimum matches vertex enumeration for n<=8", t0, 30.0)
 
 
 def test_criterion_06_backward_residual():

@@ -139,6 +139,26 @@ def test_cmd_lp_values(capsys):
     assert all(r["label"].startswith("box") for r in rep["outputs"]["lp"]["rows"])
 
 
+@pytest.mark.parametrize("n", [21, 35, 40, 60])
+def test_cmd_lp_past_the_float_simplex(capsys, n):
+    # the float simplex this replaced called n = 21, 35 infeasible and was off at 40, 60
+    lp = report_of(capsys, "lp", "--n", str(n))["outputs"]["lp"]
+    assert lp["tnn_bound"] == 28.0
+    assert lp["objective"] == float(2 ** (n - 1) - 28)
+    assert lp["bound_not_tight"] is True
+    assert lp["iterations"] == 0
+
+
+def test_cmd_lp_exact_report(capsys):
+    lp = report_of(capsys, "lp", "--n", "6")["outputs"]["lp"]
+    assert (lp["objective"], lp["tnn_bound"]) == (4.0, 28.0)
+    assert lp["point"] == [0.0, 0.0, 2.0, 2.0, 0.0]
+    tail = lp["rows"][-1]
+    assert tail == {"label": "tail", "coeffs": [3.0, 3.0, -1.0, 1.0, -1.0], "lo": -6.0, "up": 0.0}
+    for row in lp["rows"]:
+        assert all(type(v) is float for v in (*row["coeffs"], row["lo"], row["up"]))
+
+
 def test_cmd_lp_domain_error(capsys):
     code, out, err = run_cli(capsys, "lp", "--n", "2")
     assert code == EXIT_DOMAIN

@@ -6,6 +6,7 @@ from ltlt.aasen import AasenFactors, factorize
 from ltlt.extremal import extremal_matrix
 from ltlt.growth import (
     MARGIN_TOL,
+    MAX_N,
     UndefinedGrowthError,
     bound_table,
     growth_certificate,
@@ -193,6 +194,18 @@ def test_certificate_equality_by_value():
     f = factorize(a)
     assert growth_certificate(a, f) == growth_certificate(a, f)
     assert growth_certificate(a, f) != growth_certificate(SymmetricMatrix(2.0 * np.eye(4)), f)
+
+
+def test_certificate_rejects_n_past_max():
+    n = MAX_N + 1
+    a = SymmetricMatrix(np.eye(n))
+    f = AasenFactors(
+        p=PermutationVector.identity(n),
+        L=UnitLowerTriangular.identity(n),
+        T=SymmetricTridiagonal(np.ones(n), np.zeros(n - 1)),
+    )
+    with pytest.raises(OverflowError, match=f"certificate needs n <= {MAX_N} .*, got {n}"):
+        growth_certificate(a, f)
 
 
 def test_certificate_arrays_are_read_only():

@@ -1,15 +1,21 @@
 import numpy as np
 import pytest
 
-from _helpers import lp_vertex_minimum
+from _helpers import lp_simplex, lp_vertex_minimum
 from ltlt.lpcert import (
     ConstraintRow,
     DeltaProgram,
+    _optimum,
     build_program,
     min_delta,
     solve_lp,
     tnn_upper_bound,
+    verify,
 )
+
+
+def _closed_form(n):
+    return 0 if n <= 5 else 2 ** (n - 1) - 28
 
 
 def _rows_by_label(prog):
@@ -74,7 +80,7 @@ def test_solve_trivial_interval():
         objective=(1.0,),
         rows=(ConstraintRow("interval", (1.0,), 1.0, 2.0),),
     )
-    sol = solve_lp(prog)
+    sol = lp_simplex(prog)
     assert sol.status == "optimal"
     assert abs(sol.objective_value - 1.0) <= 1e-9
     assert abs(sol.point[0] - 1.0) <= 1e-9
@@ -90,7 +96,7 @@ def test_solve_infeasible_program():
             ConstraintRow("high", (1.0,), float("-inf"), 2.0),
         ),
     )
-    assert solve_lp(prog).status == "infeasible"
+    assert lp_simplex(prog).status == "infeasible"
 
 
 def test_min_delta_dichotomy():
@@ -107,10 +113,73 @@ def test_min_delta_nonnegative():
 
 def test_simplex_matches_vertex_enumeration():
     for n in range(3, 8):  # n=8 runs in the acceptance suite
-        prog = build_program(n)
-        sol = solve_lp(prog)
-        assert sol.status == "optimal"
-        assert abs(sol.objective_value - lp_vertex_minimum(prog)) <= 1e-8
+        # the vertex oracle solves in floats: 3.9999999999999973 at n = 6
+        assert abs(min_delta(n) - lp_vertex_minimum(build_program(n))) <= 1e-8
+    for n in range(3, 21):  # the float simplex is right up to here
+        assert abs(lp_simplex(build_program(n)).objective_value - min_delta(n)) <= 1e-8
+
+
+def test_min_delta_closed_form():
+    for n in [*range(3, 130), 256, 512, 1023, 1024]:
+        value = min_delta(n)
+        assert type(value) is int and value == _closed_form(n)
+
+
+def test_program_data_are_ints():
+    prog = build_program(60)
+    assert all(type(v) is int for v in prog.objective)
+    for row in prog.rows:
+        assert all(type(v) is int for v in (*row.coeffs, row.lo, row.up)), row.label
+    q57 = {r.label: r for r in prog.rows}["power[q=57]"]
+    assert (q57.lo, q57.up) == (2**57 - 14, 2**57)
+
+
+@pytest.mark.parametrize("n", [3, 5, 6, 7, 12, 40])
+def test_verify_accepts_the_closed_form(n):
+    point, duals = _optimum(n)
+    assert verify(build_program(n), point, duals) == _closed_form(n)
+    assert sum(point) == _closed_form(n)
+
+
+@pytest.mark.parametrize("n", [6, 7, 12, 40])
+def test_verify_rejects_a_moved_point(n):
+    prog = build_program(n)
+    point, duals = _optimum(n)
+    for k in range(n - 1):
+        moved = list(point)
+        moved[k] += 1
+        with pytest.raises(ValueError):
+            verify(prog, moved, duals)
+    # same objective, but the tight tail row is broken
+    moved = [point[0] + 1, *point[1:-1], point[-1] - 1]
+    with pytest.raises(ValueError, match="point violates"):
+        verify(prog, moved, duals)
+
+
+@pytest.mark.parametrize("n", [6, 7, 12, 40])
+def test_verify_rejects_a_wrong_weight(n):
+    prog = build_program(n)
+    point, duals = _optimum(n)
+    assert duals[(f"chain[q={n - 3}]", "lo")] == 8
+    duals[(f"chain[q={n - 3}]", "lo")] = 7
+    with pytest.raises(ValueError, match="do not sum to the objective"):
+        verify(prog, point, duals)
+
+
+def test_verify_rejects_a_negative_multiplier():
+    for n in (4, 8):
+        point, duals = _optimum(n)
+        duals[("box[0]", "lo")] = -1
+        with pytest.raises(ValueError, match="negative or not a row"):
+            verify(build_program(n), point, duals)
+
+
+def test_verify_rejects_a_foreign_program():
+    prog = DeltaProgram(n=4, num_vars=3, objective=(1, 1, 1), rows=build_program(4).rows[:2])
+    with pytest.raises(ValueError, match="negative or not a row"):
+        solve_lp(prog)
+    with pytest.raises(ValueError, match="coordinates"):
+        verify(build_program(5), (0, 0, 0), {})
 
 
 def test_solution_point_feasible():
@@ -133,3 +202,5 @@ def test_tnn_upper_bound():
     assert tnn_upper_bound(5) == 16.0
     assert tnn_upper_bound(4) == 8.0
     assert tnn_upper_bound(7) < 64.0
+    for n in (6, 21, 35, 60, 200, 1024):
+        assert tnn_upper_bound(n) == 28.0

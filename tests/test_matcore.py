@@ -152,3 +152,23 @@ def test_unit_lower_invariants():
 def test_permutation_rejects_non_bijection():
     with pytest.raises(ValueError):
         PermutationVector(np.array([0, 0, 2]))
+
+
+def test_types_compare_by_value():
+    eye, flip = np.eye(3), np.eye(3)[::-1]
+    pairs = [
+        (SymmetricMatrix(eye), SymmetricMatrix(eye.copy()), SymmetricMatrix(flip)),
+        (PermutationVector.identity(3), PermutationVector(np.arange(3)),
+         PermutationVector([2, 1, 0])),
+        (UnitLowerTriangular.identity(3), UnitLowerTriangular(np.zeros((3, 3))),
+         UnitLowerTriangular(np.tril(np.full((3, 3), 0.5), -1) * [0.0, 1.0, 1.0])),
+        (SymmetricTridiagonal([1.0, 2.0], [3.0]), SymmetricTridiagonal([1.0, 2.0], [3.0]),
+         SymmetricTridiagonal([1.0, 2.0], [-3.0])),
+    ]
+    for a, same, other in pairs:
+        assert a == same and not a != same
+        assert a != other and not a == other
+        assert a != SymmetricMatrix(np.eye(4)) and a != 1
+    f = factorize(SymmetricMatrix(flip))
+    assert f == factorize(SymmetricMatrix(flip.copy()))
+    assert f != factorize(SymmetricMatrix(eye))
