@@ -19,9 +19,6 @@ from .matcore import (
     UnitLowerTriangular,
 )
 
-# A tridiagonal pivot at or below this magnitude is treated as an exact zero.
-SINGULAR_PIVOT_TOL = 1e-300
-
 # Candidates within one part in 1e12 of the largest magnitude count as tied.
 # Matrices realizing extreme growth put exact ties in every pivot column;
 # a strict comparison would let entry roundoff pick the branch at random.
@@ -155,7 +152,8 @@ def tridiag_solve(tri: SymmetricTridiagonal, y) -> np.ndarray:
     """Solve T z = y by elimination with row partial pivoting.
 
     Pivoting fills at most one extra superdiagonal beyond the original band.
-    Raises SingularMatrixError (with the pivot index) on a zero pivot.
+    Raises SingularMatrixError (with the pivot index) on an exactly zero
+    pivot, a scale-free test, and OverflowError on a non-finite solution.
     """
     y = np.asarray(y, dtype=float)
     n = tri.n
@@ -170,30 +168,33 @@ def tridiag_solve(tri: SymmetricTridiagonal, y) -> np.ndarray:
         sub[: n - 1] = tri.offdiag
         sup[: n - 1] = tri.offdiag
     rhs = y.copy()
-
-    for k in range(n - 1):
-        if abs(sub[k]) > abs(d[k]):
-            d[k], sub[k] = sub[k], d[k]
-            sup[k], d[k + 1] = d[k + 1], sup[k]
-            sup2[k], sup[k + 1] = sup[k + 1], sup2[k]
-            rhs[k], rhs[k + 1] = rhs[k + 1], rhs[k]
-        if abs(d[k]) <= SINGULAR_PIVOT_TOL:
-            raise SingularMatrixError(k)
-        m = sub[k] / d[k]
-        d[k + 1] -= m * sup[k]
-        sup[k + 1] -= m * sup2[k]
-        rhs[k + 1] -= m * rhs[k]
-    if abs(d[n - 1]) <= SINGULAR_PIVOT_TOL:
-        raise SingularMatrixError(n - 1)
-
     z = np.zeros(n)
-    for k in range(n - 1, -1, -1):
-        acc = rhs[k]
-        if k + 1 < n:
-            acc -= sup[k] * z[k + 1]
-        if k + 2 < n:
-            acc -= sup2[k] * z[k + 2]
-        z[k] = acc / d[k]
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n - 1):
+            if abs(sub[k]) > abs(d[k]):
+                d[k], sub[k] = sub[k], d[k]
+                sup[k], d[k + 1] = d[k + 1], sup[k]
+                sup2[k], sup[k + 1] = sup[k + 1], sup2[k]
+                rhs[k], rhs[k + 1] = rhs[k + 1], rhs[k]
+            if d[k] == 0.0:
+                raise SingularMatrixError(k)
+            m = sub[k] / d[k]
+            d[k + 1] -= m * sup[k]
+            sup[k + 1] -= m * sup2[k]
+            rhs[k + 1] -= m * rhs[k]
+        if d[n - 1] == 0.0:
+            raise SingularMatrixError(n - 1)
+
+        for k in range(n - 1, -1, -1):
+            acc = rhs[k]
+            if k + 1 < n:
+                acc -= sup[k] * z[k + 1]
+            if k + 2 < n:
+                acc -= sup2[k] * z[k + 2]
+            z[k] = acc / d[k]
+    if not np.isfinite(z).all():
+        raise OverflowError("tridiagonal solve overflows the double range (non-finite solution)")
     return z
 
 

@@ -89,11 +89,11 @@ class GrowthCertificate:
 
 @dataclass(frozen=True)
 class BoundTable:
-    """Closed-form growth bounds: Higham's 4^(n-2) and the sharper 2^(n-1)."""
+    """Closed-form growth bounds, exact ints: Higham's 4^(n-2) and the sharper 2^(n-1)."""
 
     n: int
-    higham_bound: float
-    improved_bound: float
+    higham_bound: int
+    improved_bound: int
     not_tight: bool
 
 
@@ -154,8 +154,7 @@ def growth_certificate(a: SymmetricMatrix, f: AasenFactors) -> GrowthCertificate
     lhs = np.concatenate(lhs)
     bound = np.concatenate(bound)
     all_pass = bool(np.all(bound - lhs >= -MARGIN_TOL))
-    rho = f.T.max_abs() / m
-    return GrowthCertificate(rho=rho, lhs=lhs, bound=bound, all_pass=all_pass, n=n)
+    return GrowthCertificate(rho=growth_factor(a, f), lhs=lhs, bound=bound, all_pass=all_pass, n=n)
 
 
 def bound_table(n: int) -> BoundTable:
@@ -164,8 +163,8 @@ def bound_table(n: int) -> BoundTable:
         raise ValueError("bound table requires n >= 2")
     return BoundTable(
         n=n,
-        higham_bound=4.0 ** (n - 2),
-        improved_bound=2.0 ** (n - 1),
+        higham_bound=4 ** (n - 2),
+        improved_bound=2 ** (n - 1),
         not_tight=n >= 6,
     )
 

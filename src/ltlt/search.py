@@ -1,14 +1,12 @@
 """Derivative-free maximization of the growth factor over [-1, 1] entries.
 
-Coordinate pattern search on the n(n+1)/2 free entries of a symmetric matrix:
-probe +/- step along every coordinate, accept the best improving probe, halve
-the step when none improves.  Each sweep scores all of its probes as one
-batch: the one Aasen column sweep, which factorize() runs on a stack of one,
-runs on the stack of probes, so the values, and every outcome, are identical
-to scoring each probe on its own with evaluate_candidate().  Restarts are
-independent, so the outcome is the argmax over restarts with ties going to
-the lowest restart index; identical configurations always reproduce the same
-outcome.
+Coordinate pattern search on the d = n(n+1)/2 free entries of a symmetric
+matrix: probe +/- step along every coordinate, accept the best improving
+probe, halve the step when none improves.  The restarts run in lockstep: each
+round scores the probes of every restart still searching as one stack, within
+STACK_BUDGET doubles, with the Aasen sweep that factorize() runs on a stack of
+one, so every value is the one evaluate_candidate() gives.  The outcome is the
+argmax over restarts, ties going to the lowest restart index.
 """
 from __future__ import annotations
 
@@ -21,25 +19,26 @@ from .aasen import _stacked_growth, factorize
 from .growth import growth_factor
 from .matcore import SymmetricMatrix, max_abs
 
+# First probe distance, its factor after a round without improvement, and the
+# distance below which a restart stops.
+INITIAL_STEP, SHRINK, MIN_STEP = 0.25, 0.5, 1e-6
+
+# Most doubles in one kernel stack (matrices times n^2) and in each (restarts,
+# 2d + 1) round array of a lockstep group; at least one matrix and one restart.
+STACK_BUDGET = 1 << 21
+
 
 @dataclass(frozen=True)
 class SearchConfig:
     n: int
     restarts: int = 64
     max_iters: int = 2000
-    initial_step: float = 0.25
-    shrink: float = 0.5
-    min_step: float = 1e-6
     seed: int = 0
     warm_starts: Tuple[SymmetricMatrix, ...] = ()
 
     def __post_init__(self):
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
-        if not (0.0 < self.min_step < self.initial_step):
-            raise ValueError("need 0 < min_step < initial_step")
-        if not (0.0 < self.shrink < 1.0):
-            raise ValueError("shrink must lie in (0, 1)")
         object.__setattr__(self, "warm_starts", tuple(self.warm_starts))
         for w in self.warm_starts:
             if w.n != self.n:
@@ -71,73 +70,73 @@ def _sym_stack(v: np.ndarray, n: int, iu) -> np.ndarray:
     return m
 
 
-def _pattern_search(x0: np.ndarray, cfg: SearchConfig, iu) -> Tuple[np.ndarray, float, int]:
-    """One restart; returns (best vector, best value, evaluations used).
+def _score(x, owner, at, cand, n: int, iu) -> np.ndarray:
+    """Growth of each probe: row owner[k] of x with entry at[k] set to cand[k]."""
+    size = max(1, STACK_BUDGET // (n * n))
+    vals = np.empty(owner.shape[0])
+    for s in range(0, owner.shape[0], size):
+        probes = x[owner[s : s + size]]
+        probes[np.arange(probes.shape[0]), at[s : s + size]] = cand[s : s + size]
+        vals[s : s + size] = _stacked_growth(_sym_stack(probes, n, iu))
+    return vals
 
-    A sweep scores all of its probes as one stack.  The accepted probe is the
-    first one, in coordinate-major order with +step before -step, that
-    attains the sweep's maximum, and only when that maximum beats the current
-    value: the probe a sequential scan with strict comparison would keep.
-    """
-    n, d = cfg.n, x0.shape[0]
-    x = x0.copy()
-    best = float(_stacked_growth(_sym_stack(x[None, :], n, iu))[0])
-    evals = 1
-    step = cfg.initial_step
-    coord = np.repeat(np.arange(d), 2)
 
-    for _ in range(cfg.max_iters):
-        if step < cfg.min_step:
+def _search_group(x: np.ndarray, max_iters: int, n: int, iu) -> Tuple[np.ndarray, int]:
+    """Search from the (G, d) starts x in lockstep, leaving the best points in x.
+
+    Returns (best values, evaluations).  A restart takes its first probe (coordinates
+    in order, +step before -step) that attains its maximum, if that beats its value."""
+    g, d = x.shape
+    rows = np.arange(g)
+    best, evals = _stacked_growth(_sym_stack(x, n, iu)), g  # G n^2 < G (2d + 1)
+    step = np.full(g, INITIAL_STEP)
+    # column 0 stays put (x + -0.0 is x, bit for bit); 2k+1, 2k+2 probe x[k] +/- step
+    coord = np.arange(-1, 2 * d) // 2
+    sign = np.array([-0.0] + [1.0, -1.0] * d)
+    vals = np.empty((g, 2 * d + 1))
+
+    for _ in range(max_iters):
+        xx = x[:, coord]
+        cand = np.minimum(np.maximum(xx + step[:, None] * sign, -1.0), 1.0)
+        # a finished restart keeps no probes, so it never improves again
+        keep = (cand != xx) & (step >= MIN_STEP)[:, None]
+        owner, pos = keep.nonzero()
+        if not owner.size:
             break
-        cand = np.clip(np.stack([x + step, x - step], axis=1).ravel(), -1.0, 1.0)
-        keep = cand != x[coord]
-        at, cand = coord[keep], cand[keep]
-        probes = np.tile(x, (at.shape[0], 1))
-        probes[np.arange(at.shape[0]), at] = cand
-        vals = _stacked_growth(_sym_stack(probes, n, iu))
-        evals += vals.shape[0]
-        i = int(np.argmax(vals)) if vals.shape[0] else -1
-        if i >= 0 and vals[i] > best:
-            x[at[i]] = cand[i]
-            best = float(vals[i])
-        else:
-            step *= cfg.shrink
-    return x, best, evals
+        vals.fill(-np.inf)
+        vals[:, 0] = best
+        vals[keep] = _score(x, owner, coord[pos], cand[keep], n, iu)
+        evals += owner.size
+        # the first maximum wins, so a probe that only ties stays put
+        i = vals.argmax(axis=1)
+        best = vals[rows, i]
+        x[rows, coord[i]] = cand[rows, i]
+        step[i == 0] *= SHRINK
+    return best, evals
 
 
 def maximize_growth(config: SearchConfig) -> SearchOutcome:
-    """Run all restarts: warm starts first, then seeded random matrices.
-
-    Random starts fill up to config.restarts total; every warm start always
-    runs even when there are more warm starts than restarts.
-    """
+    """Run every warm start, then seeded random starts up to config.restarts in all."""
     if config.n < 3:
         raise ValueError("search requires n >= 3")
-    n = config.n
-    iu = np.triu_indices(n)
-    num_starts = max(config.restarts, len(config.warm_starts))
-
-    best_vec = None
-    best_val = -np.inf
-    evaluations = 0
-    per_restart: List[float] = []
-
-    for k in range(num_starts):
-        if k < len(config.warm_starts):
-            x0 = config.warm_starts[k].entries[iu]
-        else:
-            rng = np.random.default_rng([config.seed, k])
-            x0 = rng.uniform(-1.0, 1.0, iu[0].shape[0])
-        x, val, evals = _pattern_search(x0, config, iu)
+    n, iu = config.n, np.triu_indices(config.n)
+    d = iu[0].shape[0]
+    warm = [w.entries[iu] for w in config.warm_starts]
+    num_starts = max(config.restarts, len(warm))
+    group = max(1, STACK_BUDGET // (2 * d + 1))
+    per_restart, evaluations, top = [], 0, None
+    for g0 in range(0, num_starts, group):
+        x = np.array([
+            warm[k] if k < len(warm)
+            else np.random.default_rng([config.seed, k]).uniform(-1.0, 1.0, d)
+            for k in range(g0, min(g0 + group, num_starts))
+        ])
+        best, evals = _search_group(x, config.max_iters, n, iu)
+        per_restart += best.tolist()
         evaluations += evals
-        per_restart.append(val)
-        if val > best_val:
-            best_val = val
-            best_vec = x
+        i = int(best.argmax())
+        if top is None or best[i] > top[0]:  # a tie keeps the earlier restart
+            top = best[i], x[i]
 
-    return SearchOutcome(
-        best_matrix=SymmetricMatrix(_sym_stack(best_vec[None, :], n, iu)[0]),
-        best_growth=float(best_val),
-        evaluations=evaluations,
-        per_restart_best=per_restart,
-    )
+    best_matrix = SymmetricMatrix(_sym_stack(top[1][None, :], n, iu)[0])
+    return SearchOutcome(best_matrix, float(top[0]), evaluations, per_restart)

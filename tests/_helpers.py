@@ -8,20 +8,22 @@ checks the exact closed-form optimum of lpcert.solve_lp up to n = 20.
 The Aasen oracle factorize_scalar is the column sweep on one matrix, swapping
 rows of a working copy; it is independent of the stacked indexing of
 aasen._sweep and shares only the pivot test, aasen._pivot_offset.
-pattern_search_scalar is independent of the batched search loop only: it
-still scores each probe through the stacked sweep.  certificate_rows_scalar
-builds the growth certificate one labelled row at a time, sharing only the
-dense H = T L^T product with growth.growth_certificate.
+maximize_growth_scalar runs the restarts one after another through
+pattern_search_scalar, which scores each probe on its own through factorize;
+it shares only the step constants of ltlt.search and the sweep itself.
+certificate_rows_scalar builds the growth certificate one labelled row at a
+time, sharing only the dense H = T L^T product with growth.growth_certificate.
 """
 import itertools
 from typing import List, NamedTuple
 
 import numpy as np
 
+from ltlt import search
 from ltlt.aasen import _pivot_offset
 from ltlt.lpcert import FEASIBILITY_TOL, DeltaProgram
 from ltlt.matcore import SymmetricMatrix, max_abs
-from ltlt.search import evaluate_candidate
+from ltlt.search import SearchOutcome, evaluate_candidate
 
 
 def rand_sym(rng, n, scale=1.0) -> SymmetricMatrix:
@@ -339,7 +341,7 @@ def lp_simplex(prog: DeltaProgram) -> SimplexResult:
 
 
 def pattern_search_scalar(x0, cfg, iu):
-    """Per-probe reference for search._pattern_search: one restart.
+    """Per-probe reference for one restart of search.maximize_growth.
 
     Scores every probe on its own through evaluate_candidate (factorize), in
     coordinate-major order with +step before -step, keeping the best probe
@@ -355,10 +357,10 @@ def pattern_search_scalar(x0, cfg, iu):
     x = x0.copy()
     best = evaluate_candidate(sym(x))
     evals = 1
-    step = cfg.initial_step
+    step = search.INITIAL_STEP
 
     for _ in range(cfg.max_iters):
-        if step < cfg.min_step:
+        if step < search.MIN_STEP:
             break
         probe_best = best
         probe_at = -1
@@ -381,5 +383,31 @@ def pattern_search_scalar(x0, cfg, iu):
             x[probe_at] = probe_val
             best = probe_best
         else:
-            step *= cfg.shrink
+            step *= search.SHRINK
     return x, best, evals
+
+
+def maximize_growth_scalar(cfg) -> SearchOutcome:
+    """Reference for search.maximize_growth: the restarts one after another.
+
+    Warm starts first, then seeded random starts, each run by
+    pattern_search_scalar; a later restart replaces the best only when it is
+    strictly larger, so ties go to the lowest restart index.
+    """
+    n = cfg.n
+    iu = np.triu_indices(n)
+    best_vec, best_val, evaluations, per_restart = None, -np.inf, 0, []
+    for k in range(max(cfg.restarts, len(cfg.warm_starts))):
+        if k < len(cfg.warm_starts):
+            x0 = cfg.warm_starts[k].entries[iu]
+        else:
+            x0 = np.random.default_rng([cfg.seed, k]).uniform(-1.0, 1.0, iu[0].shape[0])
+        x, val, evals = pattern_search_scalar(x0, cfg, iu)
+        evaluations += evals
+        per_restart.append(float(val))
+        if val > best_val:
+            best_vec, best_val = x, val
+    m = np.zeros((n, n))
+    m[iu] = best_vec
+    m[iu[1], iu[0]] = best_vec
+    return SearchOutcome(SymmetricMatrix(m), float(best_val), evaluations, per_restart)

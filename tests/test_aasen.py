@@ -136,6 +136,22 @@ def test_tridiag_singular_reports_index():
     assert err.value.pivot_index == 1
 
 
+def test_tridiag_solve_overflow_is_an_error():
+    with pytest.raises(OverflowError):
+        tridiag_solve(SymmetricTridiagonal([1e-200, 1.0], [0.0]), [1e200, 1.0])
+
+
+@pytest.mark.parametrize("c", [1e-290, 1e-301, 1e-305])
+def test_solve_is_scale_free(c):
+    # the singular-pivot test is exact zero, not an absolute threshold, so a
+    # well-conditioned matrix scaled far down still solves
+    a = np.array([[2.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 4.0]])
+    b = np.ones(3)
+    want = solve(factorize(SymmetricMatrix(a)), b)
+    got = solve(factorize(SymmetricMatrix(c * a)), c * b)
+    assert np.max(np.abs(got - want)) <= 1e-14
+
+
 def test_solve_identity():
     f = factorize(SymmetricMatrix(np.eye(4)))
     b = np.array([1.0, -2.0, 3.0, 0.5])

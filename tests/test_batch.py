@@ -3,14 +3,14 @@
 factorize() and the stacked growth kernel both run aasen._sweep; both are
 compared with the scalar oracle factorize_scalar, which swaps rows of one
 working matrix instead of indexing a stack.  The batched search is compared
-with pattern_search_scalar, which replaces only the batched sweep loop.  All
-comparisons are bitwise: the same floating-point operations run per item, so
-no tolerance applies.
+with maximize_growth_scalar, which runs the restarts one after another and
+scores each probe on its own.  All comparisons are bitwise: the same
+floating-point operations run per item, so no tolerance applies.
 """
 import numpy as np
 import pytest
 
-from _helpers import factorize_scalar, pattern_search_scalar
+from _helpers import factorize_scalar, maximize_growth_scalar
 from ltlt import search
 from ltlt.aasen import AasenFactors, _stacked_growth, factorize
 from ltlt.extremal import extremal_matrix
@@ -73,12 +73,6 @@ def test_kernel_matches_factorize_extremal(n, deltas):
     _assert_matches_reference([extremal_matrix(n, d).A.entries for d in deltas])
 
 
-def _oracle(cfg, monkeypatch):
-    with monkeypatch.context() as mp:
-        mp.setattr(search, "_pattern_search", pattern_search_scalar)
-        return maximize_growth(cfg)
-
-
 def _assert_same_outcome(got, want):
     assert got.best_growth == want.best_growth
     assert got.evaluations == want.evaluations
@@ -89,26 +83,65 @@ def _assert_same_outcome(got, want):
 
 
 @pytest.mark.parametrize("n,seed", [(3, 0), (4, 1), (5, 2), (6, 3), (7, 4)])
-def test_search_matches_scalar_oracle(n, seed, monkeypatch):
+def test_search_matches_scalar_oracle(n, seed):
     cfg = SearchConfig(n=n, restarts=1, seed=seed, max_iters=12)
-    _assert_same_outcome(maximize_growth(cfg), _oracle(cfg, monkeypatch))
+    _assert_same_outcome(maximize_growth(cfg), maximize_growth_scalar(cfg))
 
 
-def test_search_matches_scalar_oracle_restarts(monkeypatch):
-    cfg = SearchConfig(n=4, restarts=3, seed=7, max_iters=40, min_step=1e-3)
-    _assert_same_outcome(maximize_growth(cfg), _oracle(cfg, monkeypatch))
+def test_search_matches_scalar_oracle_restarts():
+    cfg = SearchConfig(n=4, restarts=3, seed=7, max_iters=40)
+    _assert_same_outcome(maximize_growth(cfg), maximize_growth_scalar(cfg))
 
 
 @pytest.mark.parametrize("n,delta", [(4, 0.05), (5, 0.01), (6, 0.4)])
-def test_search_matches_scalar_oracle_warm(n, delta, monkeypatch):
+def test_search_matches_scalar_oracle_warm(n, delta):
     warm = (extremal_matrix(n, delta).A,)
     cfg = SearchConfig(n=n, restarts=2, seed=9, max_iters=15, warm_starts=warm)
-    _assert_same_outcome(maximize_growth(cfg), _oracle(cfg, monkeypatch))
+    _assert_same_outcome(maximize_growth(cfg), maximize_growth_scalar(cfg))
 
 
-@pytest.mark.parametrize("start", [np.zeros((4, 4)), np.ones((4, 4)), np.eye(4)])
-def test_search_matches_scalar_oracle_tied_probes(start, monkeypatch):
+@pytest.mark.parametrize(
+    "start", [np.zeros((4, 4)), np.ones((4, 4)), np.eye(4), np.full((4, 4), -0.0)]
+)
+def test_search_matches_scalar_oracle_tied_probes(start):
     # from these starts many probes of a sweep score exactly the sweep's
     # maximum; the first of them in scan order must win
     cfg = SearchConfig(n=4, restarts=1, max_iters=20, warm_starts=(SymmetricMatrix(start),))
-    _assert_same_outcome(maximize_growth(cfg), _oracle(cfg, monkeypatch))
+    _assert_same_outcome(maximize_growth(cfg), maximize_growth_scalar(cfg))
+
+
+def test_search_matches_scalar_oracle_restarts_finish_apart():
+    # no probe improves on the extremal start, so it stops after the rounds
+    # that shrink its step below the minimum, while the random restarts of
+    # the same lockstep group keep improving for more rounds
+    warm = extremal_matrix(4, 0.05).A
+    cfg = SearchConfig(n=4, restarts=3, seed=5, max_iters=200, warm_starts=(warm,))
+    got = maximize_growth(cfg)
+    _assert_same_outcome(got, maximize_growth_scalar(cfg))
+    assert got.per_restart_best[0] == search.evaluate_candidate(warm)
+
+
+def test_search_stacks_stay_within_budget(monkeypatch):
+    # a budget of a few matrices splits every round into several kernel
+    # calls and the restarts into several lockstep groups
+    n, budget = 4, 48
+    cfg = SearchConfig(n=n, restarts=5, seed=11, max_iters=30)
+    want = maximize_growth_scalar(cfg)
+    sizes, groups = [], []
+
+    def kernel(a):
+        sizes.append(a.shape[0])
+        return _stacked_growth(a)
+
+    def group(x, *args):
+        groups.append(x.shape[0])
+        return search_group(x, *args)
+
+    search_group = search._search_group
+    monkeypatch.setattr(search, "STACK_BUDGET", budget)
+    monkeypatch.setattr(search, "_stacked_growth", kernel)
+    monkeypatch.setattr(search, "_search_group", group)
+    _assert_same_outcome(maximize_growth(cfg), want)
+    assert groups == [2, 2, 1]
+    assert max(sizes) * n * n <= budget
+    assert len(sizes) > 3 * cfg.max_iters

@@ -243,6 +243,14 @@ def test_bound_table_monotone_doubling():
             assert bound_table(n).improved_bound <= bound_table(n).higham_bound
 
 
+@pytest.mark.parametrize("n", [514, 1024])
+def test_bound_table_exact_past_double_range(n):
+    # 4^(n-2) exceeds the largest double from n = 514 on
+    t = bound_table(n)
+    assert t.higham_bound == 4 ** (n - 2) and t.improved_bound == 2 ** (n - 1)
+    assert t.improved_bound < t.higham_bound and t.not_tight
+
+
 def test_bound_table_domain():
     with pytest.raises(ValueError):
         bound_table(1)

@@ -35,10 +35,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SearchConfig(n=4, restarts=0)
     with pytest.raises(ValueError):
-        SearchConfig(n=4, shrink=1.5)
-    with pytest.raises(ValueError):
-        SearchConfig(n=4, min_step=0.5, initial_step=0.25)
-    with pytest.raises(ValueError):
         SearchConfig(n=4, warm_starts=(SymmetricMatrix(np.eye(3)),))
     with pytest.raises(ValueError):
         SearchConfig(n=3, warm_starts=(SymmetricMatrix(2.0 * np.eye(3)),))
@@ -49,7 +45,6 @@ def test_config_validation():
 def _quick(n, **kw):
     kw.setdefault("restarts", 4)
     kw.setdefault("max_iters", 150)
-    kw.setdefault("min_step", 1e-4)
     return SearchConfig(n=n, **kw)
 
 
