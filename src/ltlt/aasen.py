@@ -53,61 +53,63 @@ def _pivot_offset(v: np.ndarray) -> np.ndarray:
     the current row, and a zero column (where every entry ties) pivots on row 0.
     """
     av = np.abs(v)
-    return np.argmax(av >= av.max(axis=-1, keepdims=True) * (1.0 - PIVOT_TIE_REL), axis=-1)
+    big = np.maximum.reduce(av, axis=-1, keepdims=True)
+    return (av >= big * (1.0 - PIVOT_TIE_REL)).argmax(axis=-1)
 
 
 def _sweep(a: np.ndarray):
     """Aasen's column sweep on a (B, n, n) stack of finite symmetric matrices.
 
-    Returns perm, lw, alpha, beta, each with a leading axis of B: row and
-    column k of P A P^T are row and column perm[k] of A, lw is L with its unit
-    diagonal, and alpha/beta are the diagonal and off-diagonal of T.  Each step
-    forms the working column h of H = T L^T, then the pivot is the entry of
-    largest magnitude among the remaining rows, so multipliers never exceed 1.
+    Returns z, alpha, beta with a leading axis of B.  Row k of the work array
+    z (B, n, n+1) holds perm[k] in column 0, as a float (row and column k of
+    P A P^T are row and column perm[k] of A), and row k of L, unit diagonal
+    included, in columns 1..n; alpha/beta are the diagonal and off-diagonal of
+    T.  Each step forms the working column h of H = T L^T and pivots on the
+    entry of largest magnitude among the remaining rows, so multipliers never
+    exceed 1.  It writes them into their L column, then makes its one swap:
+    the current and pivot rows of z, whole (their later columns are still 0).
     Every item goes through the same floating-point operations whatever B is:
     the same elementwise products, one ddot per item for h[j] and one gemv per
     item for the working column (numpy's stacked matmul makes the same BLAS
     call per item as the 2-D one), and the same _pivot_offset() test.
     """
     b, n, _ = a.shape
-    rows = np.arange(b)
-    perm = np.tile(np.arange(n), (b, 1))
-    lw = np.tile(np.eye(n), (b, 1, 1))
+    rows = np.arange(b)[:, None]
+    z = np.zeros((b, n, n + 1))
+    z[:, :, 0] = np.arange(n)
+    z[:, 0, 1] = 1.0
     alpha = np.zeros((b, n))
     beta = np.zeros((b, max(n - 1, 0)))
+    e01 = np.array([0, 1])
+    # each row of z as one void item, so a row swap is a plain fancy index
+    zrow = z.view(np.dtype((np.void, z.itemsize * (n + 1))))[:, :, 0]
 
     for j in range(n):
-        lj = lw[:, j, : j + 1]
+        lj = z[:, j, 1 : j + 2]
         h = np.empty((b, j + 1))
         if j > 0:
-            hh = alpha[:, :j] * lj[:, :j]
-            hh[:, 1:] += beta[:, : j - 1] * lj[:, : j - 1]
-            hh += beta[:, :j] * lj[:, 1 : j + 1]
-            h[:, :j] = hh
-        pj = perm[:, j]
+            np.multiply(alpha[:, :j], lj[:, :j], out=h[:, :j])
+            h[:, 1:j] += beta[:, : j - 1] * lj[:, : j - 1]
+            h[:, :j] += beta[:, :j] * lj[:, 1 : j + 1]
+        p = z[:, j:, 0].astype(np.intp)
+        col = a[rows, p, p[:, :1]]  # diagonal entry, then the rest of the column
         dot = np.matmul(lj[:, None, :j], h[:, :j, None])[:, 0, 0]
-        h[:, j] = a[rows, pj, pj] - dot
+        h[:, j] = col[:, 0] - dot
         alpha[:, j] = h[:, j] - (beta[:, j - 1] * lj[:, j - 1] if j > 0 else 0.0)
 
         if j < n - 1:
-            col = a[rows[:, None], perm[:, j + 1 :], pj[:, None]]
-            v = col - np.matmul(lw[:, j + 1 :, : j + 1], h[:, :, None])[:, :, 0]
-            r = _pivot_offset(v)
-            rr = j + 1 + r
-            v[rows, 0], v[rows, r] = v[rows, r], v[rows, 0]
-            perm[rows, j + 1], perm[rows, rr] = perm[rows, rr], perm[rows, j + 1]
-            lw[rows, j + 1, : j + 1], lw[rows, rr, : j + 1] = (
-                lw[rows, rr, : j + 1],
-                lw[rows, j + 1, : j + 1],
-            )
-            piv = v[:, :1]
+            v = col[:, 1:] - np.matmul(z[:, j + 1 :, 1 : j + 2], h[:, :, None])[:, :, 0]
+            r = _pivot_offset(v)[:, None]
+            piv = v[rows, r]
             beta[:, j] = piv[:, 0]
-            # a zero pivot (zero working column) leaves zero multipliers;
-            # pivoting bounds the quotients by 1 in exact arithmetic, and the
-            # clip removes the one-ulp excess division roundoff can add
-            q = np.divide(v[:, 1:], piv, out=np.zeros_like(v[:, 1:]), where=piv != 0.0)
-            lw[:, j + 2 :, j + 1] = np.clip(q, -1.0, 1.0)
-    return perm, lw, alpha, beta
+            # a zero pivot (zero working column) leaves zero multipliers; the
+            # clip removes the one-ulp excess over 1 division roundoff can add
+            q = np.divide(v, piv, out=np.zeros(v.shape), where=piv != 0.0)
+            z[:, j + 1 :, j + 2] = np.minimum(np.maximum(q, -1.0, out=q), 1.0, out=q)
+            pair = j + 1 + r * e01  # rows j+1 and j+1+r
+            zrow[rows, pair] = zrow[rows, pair[:, ::-1]]
+            z[:, j + 1, j + 2] = 1.0
+    return z, alpha, beta
 
 
 def factorize(a: SymmetricMatrix) -> AasenFactors:
@@ -121,13 +123,13 @@ def factorize(a: SymmetricMatrix) -> AasenFactors:
         raise ValueError("matrix entries must be finite")
     # overflow near the top of the double range is reported once, below
     with np.errstate(over="ignore", invalid="ignore"):
-        perm, lw, alpha, beta = _sweep(a.entries[None])
-    if not (np.isfinite(alpha).all() and np.isfinite(beta).all() and np.isfinite(lw).all()):
+        z, alpha, beta = _sweep(a.entries[None])
+    if not (np.isfinite(alpha).all() and np.isfinite(beta).all() and np.isfinite(z).all()):
         raise OverflowError("factorization overflows the double range (non-finite factor entry)")
 
     return AasenFactors(
-        p=PermutationVector(perm[0]),
-        L=UnitLowerTriangular(np.tril(lw[0], -1)),
+        p=PermutationVector(z[0, :, 0]),
+        L=UnitLowerTriangular(np.tril(z[0, :, 1:], -1)),
         T=SymmetricTridiagonal(alpha[0], beta[0]),
     )
 
@@ -139,13 +141,10 @@ def _stacked_growth(a: np.ndarray) -> np.ndarray:
     equals growth_factor(A, factorize(A)) bit for bit.  The zero matrix
     scores 0, as in search.evaluate_candidate().
     """
-    b, n, _ = a.shape
-    _, _, alpha, beta = _sweep(a)
-    t = np.abs(alpha).max(axis=1)
-    if n > 1:
-        t = np.maximum(t, np.abs(beta).max(axis=1))
+    _, alpha, beta = _sweep(a)
+    t = np.abs(np.concatenate((alpha, beta), axis=1)).max(axis=1)
     m = np.abs(a).max(axis=(1, 2))
-    return np.divide(t, m, out=np.zeros(b), where=m != 0.0)
+    return np.divide(t, m, out=np.zeros(a.shape[0]), where=m != 0.0)
 
 
 def tridiag_solve(tri: SymmetricTridiagonal, y) -> np.ndarray:

@@ -179,9 +179,7 @@ def emit_matrix(a: SymmetricMatrix) -> str:
 def parse_matrix(text: str) -> SymmetricMatrix:
     """Parse the 'symmetric <n>' format; diagnostics carry line/column."""
     lines = text.splitlines()
-    if not lines or not lines[0].split():
-        raise MatrixFileError("line 1: expected header 'symmetric <n>'")
-    head = lines[0].split()
+    head = lines[0].split() if lines else []
     if len(head) != 2 or head[0] != "symmetric":
         raise MatrixFileError("line 1: expected header 'symmetric <n>'")
     try:
@@ -307,7 +305,7 @@ def cmd_lp(args) -> int:
     _check_n("lp", args.n)
     prog = build_program(args.n)
     sol = solve_lp(prog)
-    # the program and its optimum are exact ints; the report holds floats
+    # the program and its optimum are exact ints; the rows are reported as floats
     outputs = {
         "lp": {
             "rows": [
@@ -315,8 +313,8 @@ def cmd_lp(args) -> int:
                  "lo": float(r.lo), "up": float(r.up)}
                 for r in prog.rows
             ],
-            "objective": float(sol.objective_value),
-            "point": list(map(float, sol.point)),
+            "objective": sol.objective_value,
+            "point": list(sol.point),
             "iterations": sol.iterations,
             "tnn_bound": float(2 ** (args.n - 1) - sol.objective_value),
             "bound_not_tight": sol.objective_value > 0,

@@ -12,10 +12,9 @@ verify() has checked it and a dual certificate exactly against the rows.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 from operator import mul
 from typing import NamedTuple, Tuple
-
-import numpy as np
 
 # Slack for max_violation() on a float point, such as one read from a report.
 FEASIBILITY_TOL = 1e-9
@@ -38,13 +37,16 @@ class DeltaProgram:
     rows: Tuple[ConstraintRow, ...]
 
     def max_violation(self, x) -> float:
-        """Largest constraint violation of a point (0 if feasible)."""
-        x = np.asarray(x, dtype=float)
-        worst = 0.0
+        """Largest row violation of a point of ints or floats (0 if feasible), exact."""
+        from fractions import Fraction  # imported here: it loads decimal, a few ms
+        x = [Fraction(v) for v in x]  # scaled to ints by the common denominator
+        den = lcm(*(v.denominator for v in x))
+        x = [v.numerator * (den // v.denominator) for v in x]
+        worst = 0
         for row in self.rows:
-            val = float(np.dot(row.coeffs, x))
-            worst = max(worst, row.lo - val, val - row.up)
-        return worst
+            val = sum(map(mul, row.coeffs, x))
+            worst = max(worst, row.lo * den - val, val - row.up * den)
+        return worst / den
 
 
 @dataclass(frozen=True)

@@ -162,10 +162,7 @@ class SymmetricTridiagonal:
         return t
 
     def max_abs(self) -> float:
-        m = float(np.max(np.abs(self.diag)))
-        if self.n > 1:
-            m = max(m, float(np.max(np.abs(self.offdiag))))
-        return m
+        return float(np.abs(np.concatenate((self.diag, self.offdiag))).max())
 
 
 def max_abs(a: SymmetricMatrix) -> float:

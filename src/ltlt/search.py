@@ -39,6 +39,8 @@ class SearchConfig:
     def __post_init__(self):
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         object.__setattr__(self, "warm_starts", tuple(self.warm_starts))
         for w in self.warm_starts:
             if w.n != self.n:

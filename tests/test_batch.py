@@ -64,6 +64,22 @@ def test_kernel_matches_factorize_exact_ties(n):
     _assert_matches_reference(stack)
 
 
+@pytest.mark.parametrize("quantized", [False, True])
+def test_kernel_matches_factorize_n500(quantized):
+    # one matrix at the benchmark's largest size, random or quarter-quantized
+    m = np.random.default_rng([52, quantized]).uniform(-1.0, 1.0, (500, 500))
+    _assert_matches_reference([_sym(np.round(4.0 * m) / 4.0 if quantized else m)])
+
+
+def test_kernel_matches_factorize_large_stack():
+    # B = 1280 at n = 4 is one round's stack of `ltlt search --n 4 --restarts 64`
+    # (64 restarts x 20 probes); half the items are quarter-quantized
+    rng = np.random.default_rng(53)
+    stack = rng.uniform(-1.0, 1.0, (1280, 4, 4))
+    stack[::2] = np.round(4.0 * stack[::2]) / 4.0
+    _assert_matches_reference([_sym(m) for m in stack])
+
+
 @pytest.mark.parametrize("n,deltas", [
     (4, (0.01, 0.05, 0.5, 1.0, 2.0)),
     (5, (0.01, 0.1, 0.5, 1.0)),

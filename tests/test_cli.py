@@ -144,7 +144,7 @@ def test_cmd_lp_past_the_float_simplex(capsys, n):
     # the float simplex this replaced called n = 21, 35 infeasible and was off at 40, 60
     lp = report_of(capsys, "lp", "--n", str(n))["outputs"]["lp"]
     assert lp["tnn_bound"] == 28.0
-    assert lp["objective"] == float(2 ** (n - 1) - 28)
+    assert lp["objective"] == 2 ** (n - 1) - 28
     assert lp["bound_not_tight"] is True
     assert lp["iterations"] == 0
 
@@ -153,10 +153,21 @@ def test_cmd_lp_exact_report(capsys):
     lp = report_of(capsys, "lp", "--n", "6")["outputs"]["lp"]
     assert (lp["objective"], lp["tnn_bound"]) == (4.0, 28.0)
     assert lp["point"] == [0.0, 0.0, 2.0, 2.0, 0.0]
+    assert all(type(v) is int for v in (lp["objective"], *lp["point"]))
     tail = lp["rows"][-1]
     assert tail == {"label": "tail", "coeffs": [3.0, 3.0, -1.0, 1.0, -1.0], "lo": -6.0, "up": 0.0}
     for row in lp["rows"]:
         assert all(type(v) is float for v in (*row["coeffs"], row["lo"], row["up"]))
+
+
+@pytest.mark.parametrize("n", [58, 100])
+def test_cmd_lp_report_point_is_feasible(capsys, n):
+    # the point written as doubles violated a row from n = 58 on (by 2.0 there)
+    lp = report_of(capsys, "lp", "--n", str(n))["outputs"]["lp"]
+    prog = lpcert.build_program(n)
+    assert prog.max_violation(lp["point"]) == 0
+    assert tuple(lp["point"]) == solve_lp(prog).point
+    assert lp["objective"] == sum(lp["point"]) == 2 ** (n - 1) - 28
 
 
 def test_cmd_lp_domain_error(capsys):
@@ -272,6 +283,14 @@ def test_cmd_search_deterministic(capsys):
 def test_cmd_search_bad_n(capsys):
     code, out, err = run_cli(capsys, "search", "--n", "2")
     assert code == EXIT_DOMAIN
+
+
+def test_cmd_search_negative_seed(capsys):
+    # numpy's own message ("expected non-negative integer") does not name the seed
+    code, out, err = run_cli(capsys, "search", "--n", "4", "--seed", "-1")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "seed must be >= 0, got -1" in err
 
 
 def test_usage_errors(capsys):

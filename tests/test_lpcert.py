@@ -190,6 +190,19 @@ def test_solution_point_feasible():
         assert abs(sol.objective_value - float(np.sum(sol.point))) <= 1e-9
 
 
+@pytest.mark.parametrize("n", [58, 100])
+def test_max_violation_exact(n):
+    # rows are evaluated in integers, so the int optimum meets every row exactly
+    prog = build_program(n)
+    assert prog.max_violation(solve_lp(prog).point) == 0
+
+
+def test_max_violation_of_rounded_point():
+    # the optimum rounded to doubles misses chain[q=57] by exactly 2 at n = 58
+    prog = build_program(58)
+    assert prog.max_violation([float(v) for v in solve_lp(prog).point]) == 2.0
+
+
 def test_solver_deterministic():
     prog = build_program(8)
     s1, s2 = solve_lp(prog), solve_lp(prog)

@@ -42,6 +42,11 @@ def test_config_validation():
         maximize_growth(SearchConfig(n=2))
 
 
+def test_config_rejects_negative_seed():
+    with pytest.raises(ValueError, match=r"seed must be >= 0, got -1"):
+        SearchConfig(n=4, seed=-1)
+
+
 def _quick(n, **kw):
     kw.setdefault("restarts", 4)
     kw.setdefault("max_iters", 150)
