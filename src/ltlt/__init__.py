@@ -5,90 +5,48 @@ multipliers, certifies the entrywise growth bounds that cap the growth
 factor at 2^(n-1), gives the exactly checked optimum of the slack linear
 program showing that bound is not tight from dimension 6 on, and ships the
 extremal example family plus a direct-search growth maximizer.
+
+The exported names load on first use (PEP 562): ``import ltlt`` imports no
+submodule, and numpy loads only with the first name from a module that
+computes with it.  ``lpcert`` is pure Python, so ``ltlt lp`` never loads it.
 """
-from .aasen import (
-    AasenFactors,
-    SingularMatrixError,
-    factorize,
-    solve,
-    tridiag_solve,
-)
-from .extremal import (
-    DeltaWindowError,
-    ExampleReport,
-    ExtremalExample,
-    extremal_matrix,
-    verify_example,
-)
-from .growth import (
-    BoundTable,
-    CheckRow,
-    GrowthCertificate,
-    UndefinedGrowthError,
-    bound_table,
-    growth_certificate,
-    growth_factor,
-    reference_growth_targets,
-)
-from .lpcert import (
-    ConstraintRow,
-    DeltaProgram,
-    LPSolution,
-    build_program,
-    min_delta,
-    solve_lp,
-    tnn_upper_bound,
-)
-from .matcore import (
-    PermutationVector,
-    SymmetricMatrix,
-    SymmetricTridiagonal,
-    UnitLowerTriangular,
-    assemble,
-    max_abs,
-    permute_sym,
-    residual,
-)
-from .search import SearchConfig, SearchOutcome, evaluate_candidate, maximize_growth
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AasenFactors",
-    "BoundTable",
-    "CheckRow",
-    "ConstraintRow",
-    "DeltaProgram",
-    "DeltaWindowError",
-    "ExampleReport",
-    "ExtremalExample",
-    "GrowthCertificate",
-    "LPSolution",
-    "PermutationVector",
-    "SearchConfig",
-    "SearchOutcome",
-    "SingularMatrixError",
-    "SymmetricMatrix",
-    "SymmetricTridiagonal",
-    "UndefinedGrowthError",
-    "UnitLowerTriangular",
-    "assemble",
-    "bound_table",
-    "build_program",
-    "evaluate_candidate",
-    "extremal_matrix",
-    "factorize",
-    "growth_certificate",
-    "growth_factor",
-    "max_abs",
-    "maximize_growth",
-    "min_delta",
-    "permute_sym",
-    "reference_growth_targets",
-    "residual",
-    "solve",
-    "solve_lp",
-    "tnn_upper_bound",
-    "tridiag_solve",
-    "verify_example",
-]
+# The exported names, by the submodule that defines them.
+_EXPORTS = {
+    "aasen": ("AasenFactors", "SingularMatrixError", "factorize", "solve", "tridiag_solve"),
+    "extremal": (
+        "DeltaWindowError", "ExampleReport", "ExtremalExample", "extremal_matrix", "verify_example",
+    ),
+    "growth": (
+        "BoundTable", "CheckRow", "GrowthCertificate", "UndefinedGrowthError", "bound_table",
+        "growth_certificate", "growth_factor", "reference_growth_targets",
+    ),
+    "lpcert": (
+        "ConstraintRow", "DeltaProgram", "LPSolution", "build_program", "min_delta", "solve_lp",
+        "tnn_upper_bound",
+    ),
+    "matcore": (
+        "PermutationVector", "SymmetricMatrix", "SymmetricTridiagonal", "UnitLowerTriangular",
+        "assemble", "max_abs", "permute_sym", "residual",
+    ),
+    "search": ("SearchConfig", "SearchOutcome", "evaluate_candidate", "maximize_growth"),
+}
+_SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_SOURCE)
+
+
+def __getattr__(name):
+    # not cached in the package namespace: ltlt.X is always the submodule's current X
+    try:
+        module = _SOURCE[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    return getattr(import_module(f".{module}", __name__), name)
+
+
+def __dir__():
+    return sorted({*globals(), *_SOURCE})

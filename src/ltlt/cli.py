@@ -1,11 +1,17 @@
 """Command-line front end: matrix file I/O and report-producing subcommands.
 
-Exit codes: 0 success, 1 usage or parse error, 2 domain error (validity
-window, an lp or search dimension outside 3..MAX_N, a factorization or a
-certificate bound overflowing the double range), 3 internal invariant
-violation (a failing certificate, which should never occur).  Every
-successful invocation prints one JSON report validating against
-REPORT_SCHEMA, on one line.
+Exit codes: 0 success, 1 usage or parse error (also an input file that
+cannot be read or decoded, or an output path that cannot be written),
+2 domain error (validity window, an lp or search dimension outside
+3..MAX_N, a factorization or a certificate bound overflowing the double
+range), 3 internal invariant violation (a failing certificate, which
+should never occur).  Every successful invocation prints one JSON report
+validating against REPORT_SCHEMA, on one line.
+
+At module level this imports only the standard library and the pure-Python
+lpcert, which also defines DomainError and MAX_N.  The numerical modules,
+and so numpy, load inside the functions that use them, so ``ltlt lp`` and a
+usage error never import numpy.
 """
 from __future__ import annotations
 
@@ -14,21 +20,13 @@ import json
 import math
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
+from .lpcert import MAX_N, DomainError, build_program, solve_lp
 
-from .aasen import factorize
-from .extremal import DeltaWindowError, extremal_matrix, verify_example
-from .growth import (
-    MAX_N,
-    GrowthCertificate,
-    UndefinedGrowthError,
-    growth_certificate,
-    growth_factor,
-)
-from .lpcert import build_program, solve_lp
-from .matcore import SymmetricMatrix, residual
-from .search import SearchConfig, maximize_growth
+if TYPE_CHECKING:
+    from .growth import GrowthCertificate
+    from .matcore import SymmetricMatrix
 
 SCHEMA_VERSION = "2"
 
@@ -42,11 +40,7 @@ SYMMETRY_TOL = 1e-12
 
 
 class MatrixFileError(ValueError):
-    """Malformed matrix file (bad header, shape, token, or asymmetry)."""
-
-
-class DomainError(ValueError):
-    """Structurally valid request outside an operation's domain."""
+    """Unreadable or malformed matrix file (bad header, shape, token, or asymmetry)."""
 
 
 _NUM = {"type": "number"}
@@ -178,6 +172,10 @@ def emit_matrix(a: SymmetricMatrix) -> str:
 
 def parse_matrix(text: str) -> SymmetricMatrix:
     """Parse the 'symmetric <n>' format; diagnostics carry line/column."""
+    import numpy as np
+
+    from .matcore import SymmetricMatrix
+
     lines = text.splitlines()
     head = lines[0].split() if lines else []
     if len(head) != 2 or head[0] != "symmetric":
@@ -225,10 +223,21 @@ def parse_matrix(text: str) -> SymmetricMatrix:
 
 def read_matrix(path: str) -> SymmetricMatrix:
     try:
-        text = Path(path).read_text()
-    except OSError as e:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as e:
         raise MatrixFileError(f"cannot read {path}: {e}") from None
     return parse_matrix(text)
+
+
+def _write_text(path: Path, text: str, parents: bool = False):
+    """Write a file named on the command line, after making its directory if
+    ``parents``; failing is an exit-1 error that names the path."""
+    try:
+        if parents:
+            path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    except OSError as e:
+        raise ValueError(f"cannot write {path}: {e}") from None
 
 
 def _cert_dict(cert: GrowthCertificate) -> dict:
@@ -259,12 +268,16 @@ def _write_report(report: dict, out: str | None):
     # no indent: json's C encoder only runs on compact output
     text = json.dumps(report, allow_nan=False) + "\n"
     if out:
-        Path(out).write_text(text)
+        _write_text(Path(out), text)
     else:
         sys.stdout.write(text)
 
 
 def cmd_factor(args) -> int:
+    from .aasen import factorize
+    from .growth import growth_factor
+    from .matcore import residual
+
     a = read_matrix(args.input)
     f = factorize(a)
     outputs = {
@@ -274,7 +287,7 @@ def cmd_factor(args) -> int:
         "t_offdiag": f.T.offdiag.tolist(),
         "residual": residual(a, f.p, f.L, f.T),
     }
-    if np.any(a.entries):
+    if a.entries.any():
         outputs["growth"] = growth_factor(a, f)
     inputs = {"path": args.input, "n": a.n}
     _write_report(_report("factor", inputs, outputs), args.out)
@@ -282,6 +295,10 @@ def cmd_factor(args) -> int:
 
 
 def cmd_certify(args) -> int:
+    from .aasen import factorize
+    from .growth import growth_certificate
+    from .matcore import residual
+
     a = read_matrix(args.input)
     f = factorize(a)
     cert = growth_certificate(a, f)
@@ -305,14 +322,10 @@ def cmd_lp(args) -> int:
     _check_n("lp", args.n)
     prog = build_program(args.n)
     sol = solve_lp(prog)
-    # the program and its optimum are exact ints; the rows are reported as floats
+    # the program and its optimum are exact ints, and so are the report's rows
     outputs = {
         "lp": {
-            "rows": [
-                {"label": r.label, "coeffs": list(map(float, r.coeffs)),
-                 "lo": float(r.lo), "up": float(r.up)}
-                for r in prog.rows
-            ],
+            "rows": [r._asdict() for r in prog.rows],
             "objective": sol.objective_value,
             "point": list(sol.point),
             "iterations": sol.iterations,
@@ -325,12 +338,13 @@ def cmd_lp(args) -> int:
 
 
 def cmd_examples(args) -> int:
+    from .extremal import extremal_matrix, verify_example
+
     ex = extremal_matrix(args.n, args.delta)
     report = verify_example(ex)
     out_dir = Path(args.out or ".")
-    out_dir.mkdir(parents=True, exist_ok=True)
     matrix_path = out_dir / f"extremal_n{args.n}_delta{args.delta:g}.txt"
-    matrix_path.write_text(emit_matrix(ex.A))
+    _write_text(matrix_path, emit_matrix(ex.A), parents=True)
     both_pass = report.reference_certificate.all_pass and report.recomputed_certificate.all_pass
     outputs = {
         "example": {
@@ -350,6 +364,8 @@ def cmd_examples(args) -> int:
 
 
 def cmd_search(args) -> int:
+    from .search import SearchConfig, maximize_growth
+
     _check_n("search", args.n)
     warm = ()
     inputs = {"n": args.n, "seed": args.seed, "restarts": args.restarts}
@@ -436,7 +452,7 @@ def main(argv=None) -> int:
     except MatrixFileError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (DeltaWindowError, DomainError, UndefinedGrowthError, OverflowError) as e:
+    except (DomainError, OverflowError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DOMAIN
     except ValueError as e:

@@ -14,6 +14,7 @@ import numpy as np
 
 from .aasen import AasenFactors, factorize
 from .growth import GrowthCertificate, growth_certificate, growth_factor
+from .lpcert import DomainError
 from .matcore import (
     PermutationVector,
     SymmetricMatrix,
@@ -32,7 +33,7 @@ _WINDOWS = {
 }
 
 
-class DeltaWindowError(ValueError):
+class DeltaWindowError(DomainError):
     """delta lies outside the validity window of the requested example."""
 
 

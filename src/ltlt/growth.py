@@ -18,17 +18,15 @@ from typing import List, NamedTuple, Tuple
 import numpy as np
 
 from .aasen import AasenFactors
+from .lpcert import MAX_N, DomainError
 from .matcore import SymmetricMatrix, _frozen, _value_eq, max_abs
 
 # A check row may undershoot its bound by this much before failing; absorbs
 # roundoff accumulation across dimensions up to ~50.
 MARGIN_TOL = 1e-10
 
-# Largest dimension: the bounds 2^(n-1) overflow a double from n = 1025 on.
-MAX_N = 1024
 
-
-class UndefinedGrowthError(ValueError):
+class UndefinedGrowthError(DomainError):
     """Raised when asking for the growth factor of the zero matrix."""
 
 

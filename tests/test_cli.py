@@ -157,7 +157,7 @@ def test_cmd_lp_exact_report(capsys):
     tail = lp["rows"][-1]
     assert tail == {"label": "tail", "coeffs": [3.0, 3.0, -1.0, 1.0, -1.0], "lo": -6.0, "up": 0.0}
     for row in lp["rows"]:
-        assert all(type(v) is float for v in (*row["coeffs"], row["lo"], row["up"]))
+        assert all(type(v) is int for v in (*row["coeffs"], row["lo"], row["up"]))
 
 
 @pytest.mark.parametrize("n", [58, 100])
@@ -168,6 +168,10 @@ def test_cmd_lp_report_point_is_feasible(capsys, n):
     assert prog.max_violation(lp["point"]) == 0
     assert tuple(lp["point"]) == solve_lp(prog).point
     assert lp["objective"] == sum(lp["point"]) == 2 ** (n - 1) - 28
+    # rows written as doubles rejected the point from n = 56 on (41 power rows at n = 100)
+    assert [tuple(r.values()) for r in lp["rows"]] == [
+        (r.label, list(r.coeffs), r.lo, r.up) for r in prog.rows
+    ]
 
 
 def test_cmd_lp_domain_error(capsys):
@@ -311,6 +315,42 @@ def test_missing_file(capsys):
     assert "cannot read" in err
 
 
+def test_non_utf8_file(tmp_path, capsys):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"symmetric 1\n\xff\n")
+    with pytest.raises(MatrixFileError) as e:
+        cli.read_matrix(str(path))
+    assert str(e.value).startswith(f"cannot read {path}: 'utf-8' codec can't decode")
+    code, out, err = run_cli(capsys, "factor", str(path))
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith(f"error: cannot read {path}: ")
+
+
+@pytest.mark.parametrize("command", ["lp", "factor"])
+def test_out_in_missing_directory(tmp_path, capsys, command):
+    matrix = tmp_path / "n4.txt"
+    matrix.write_text(emit_matrix(extremal_matrix(4, 0.5).A))
+    dest = tmp_path / "missing" / "report.json"
+    argv = ["lp", "--n", "6"] if command == "lp" else ["factor", str(matrix)]
+    code, out, err = run_cli(capsys, *argv, "--out", str(dest))
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith(f"error: cannot write {dest}: ")
+    assert "No such file or directory" in err
+    assert not dest.parent.exists()
+
+
+def test_examples_out_is_a_file(tmp_path, capsys):
+    dest = tmp_path / "taken"
+    dest.write_text("")
+    code, out, err = run_cli(capsys, "examples", "--n", "4", "--delta", "0.5", "--out", str(dest))
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith(f"error: cannot write {dest / 'extremal_n4_delta0.5.txt'}: ")
+    assert "File exists" in err
+
+
 def test_zero_matrix_certify_domain_error(tmp_path, capsys):
     path = tmp_path / "zero.txt"
     path.write_text(emit_matrix(SymmetricMatrix(np.zeros((3, 3)))))
@@ -394,3 +434,57 @@ def test_module_entrypoint_subprocess(tmp_path):
     assert proc.returncode == 0
     rep = json.loads(proc.stdout)
     assert abs(rep["outputs"]["growth"] - 7.0) <= 1e-10
+
+
+def run_python(code):
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize(
+    "code",
+    [
+        "import ltlt",
+        "import ltlt.cli",
+        "from ltlt import cli; assert cli.main(['lp', '--n', '30']) == 0",
+        "from ltlt import cli; assert cli.main(['lp', '--n', 'five']) == 1",
+    ],
+)
+def test_lp_path_imports_no_numpy(code):
+    proc = run_python(code + "; import sys; assert 'numpy' not in sys.modules, 'numpy loaded'")
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_lazy_namespace_resolves_every_name():
+    proc = run_python(
+        "import importlib, ltlt\n"
+        "from ltlt import aasen\n"
+        "from ltlt import factorize\n"
+        "assert factorize is aasen.factorize and ltlt.aasen is aasen\n"
+        "for name, module in ltlt._SOURCE.items():\n"
+        "    assert getattr(ltlt, name) is getattr(importlib.import_module('ltlt.' + module), name)\n"
+        "assert set(ltlt.__all__) == set(ltlt._SOURCE) <= set(dir(ltlt))\n"
+        "assert not hasattr(ltlt, 'no_such_name')\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (
+            ["examples", "--n", "6", "--delta", "0.1", "--out", "{tmp}"],
+            "error: delta=0.1 outside the n=6 window 2/5 <= delta <= 4/5 "
+            "(entry a[4,4] = 5*delta - 3 must stay in [-1, 1])\n",
+        ),
+        (["certify", "{tmp}/zero.txt"], "error: certificate is undefined for the zero matrix\n"),
+    ],
+)
+def test_domain_errors_from_lazily_imported_modules(tmp_path, argv, message):
+    # DeltaWindowError and UndefinedGrowthError come from modules cli imports
+    # inside the command; main maps them to exit 2 through lpcert.DomainError
+    (tmp_path / "zero.txt").write_text("symmetric 3\n0 0 0\n0 0 0\n0 0 0\n")
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    proc = subprocess.run(
+        [sys.executable, "-m", "ltlt.cli", *argv], capture_output=True, text=True, timeout=120
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (EXIT_DOMAIN, "", message)
