@@ -24,6 +24,9 @@ from .matcore import (
 # a strict comparison would let entry roundoff pick the branch at random.
 PIVOT_TIE_REL = 1e-12
 
+# Offsets of the two rows a pivot step swaps: the current row and the pivot row.
+_E01 = np.array([0, 1])
+
 
 class SingularMatrixError(ValueError):
     """Raised when the tridiagonal factor is singular during a solve."""
@@ -60,14 +63,19 @@ def _pivot_offset(v: np.ndarray) -> np.ndarray:
 def _sweep(a: np.ndarray):
     """Aasen's column sweep on a (B, n, n) stack of finite symmetric matrices.
 
-    Returns z, alpha, beta with a leading axis of B.  Row k of the work array
-    z (B, n, n+1) holds perm[k] in column 0, as a float (row and column k of
+    Returns z, t with a leading axis of B.  Row k of the work array z
+    (B, n, n+1) holds perm[k] in column 0, as a float (row and column k of
     P A P^T are row and column perm[k] of A), and row k of L, unit diagonal
-    included, in columns 1..n; alpha/beta are the diagonal and off-diagonal of
-    T.  Each step forms the working column h of H = T L^T and pivots on the
+    included, in columns 1..n.  T is one (B, 2n-1) buffer t: its diagonal
+    in columns 0..n-1, its off-diagonal in columns n..2n-2.  Each step forms
+    the working column h of H = T L^T in one (B, n) buffer and pivots on the
     entry of largest magnitude among the remaining rows, so multipliers never
     exceed 1.  It writes them into their L column, then makes its one swap:
     the current and pivot rows of z, whole (their later columns are still 0).
+    The first step reads column 0 of A as it is, with no products to form
+    (h[0] = a_11), and the last pivot step has one row left, its own pivot
+    with multiplier 1, so it makes no pivot test and no swap; both give the
+    bits the general step would.
     Every item goes through the same floating-point operations whatever B is:
     the same elementwise products, one ddot per item for h[j] and one gemv per
     item for the working column (numpy's stacked matmul makes the same BLAS
@@ -78,38 +86,45 @@ def _sweep(a: np.ndarray):
     z = np.zeros((b, n, n + 1))
     z[:, :, 0] = np.arange(n)
     z[:, 0, 1] = 1.0
-    alpha = np.zeros((b, n))
-    beta = np.zeros((b, max(n - 1, 0)))
-    e01 = np.array([0, 1])
+    t = np.zeros((b, 2 * n - 1))
+    alpha, beta = t[:, :n], t[:, n:]
+    h = np.empty((b, n))
     # each row of z as one void item, so a row swap is a plain fancy index
     zrow = z.view(np.dtype((np.void, z.itemsize * (n + 1))))[:, :, 0]
 
     for j in range(n):
-        lj = z[:, j, 1 : j + 2]
-        h = np.empty((b, j + 1))
-        if j > 0:
+        if j == 0:  # no row has moved and no product is formed: h[0] = t_11 = a_11
+            col = a[:, :, 0]
+            h[:, 0] = alpha[:, 0] = col[:, 0]
+        else:
+            p = z[:, j:, 0].astype(np.intp)
+            col = a[rows, p, p[:, :1]]  # diagonal entry, then the rest of the column
+            lj = z[:, j, 1 : j + 2]
             np.multiply(alpha[:, :j], lj[:, :j], out=h[:, :j])
-            h[:, 1:j] += beta[:, : j - 1] * lj[:, : j - 1]
+            if j > 1:
+                h[:, 1:j] += beta[:, : j - 1] * lj[:, : j - 1]
             h[:, :j] += beta[:, :j] * lj[:, 1 : j + 1]
-        p = z[:, j:, 0].astype(np.intp)
-        col = a[rows, p, p[:, :1]]  # diagonal entry, then the rest of the column
-        dot = np.matmul(lj[:, None, :j], h[:, :j, None])[:, 0, 0]
-        h[:, j] = col[:, 0] - dot
-        alpha[:, j] = h[:, j] - (beta[:, j - 1] * lj[:, j - 1] if j > 0 else 0.0)
+            dot = np.matmul(lj[:, None, :j], h[:, :j, None])[:, 0, 0]
+            np.subtract(col[:, 0], dot, out=h[:, j])
+            np.subtract(h[:, j], beta[:, j - 1] * lj[:, j - 1], out=alpha[:, j])
+        if j == n - 1:
+            break
 
-        if j < n - 1:
-            v = col[:, 1:] - np.matmul(z[:, j + 1 :, 1 : j + 2], h[:, :, None])[:, :, 0]
+        v = col[:, 1:] - np.matmul(z[:, j + 1 :, 1 : j + 2], h[:, : j + 1, None])[:, :, 0]
+        if j == n - 2:  # one row is left: it is its own pivot, and needs no swap
+            beta[:, j] = v[:, 0]
+        else:
             r = _pivot_offset(v)[:, None]
             piv = v[rows, r]
             beta[:, j] = piv[:, 0]
             # a zero pivot (zero working column) leaves zero multipliers; the
             # clip removes the one-ulp excess over 1 division roundoff can add
             q = np.divide(v, piv, out=np.zeros(v.shape), where=piv != 0.0)
-            z[:, j + 1 :, j + 2] = np.minimum(np.maximum(q, -1.0, out=q), 1.0, out=q)
-            pair = j + 1 + r * e01  # rows j+1 and j+1+r
+            np.minimum(np.maximum(q, -1.0, out=q), 1.0, out=z[:, j + 1 :, j + 2])
+            pair = j + 1 + r * _E01  # rows j+1 and j+1+r
             zrow[rows, pair] = zrow[rows, pair[:, ::-1]]
-            z[:, j + 1, j + 2] = 1.0
-    return z, alpha, beta
+        z[:, j + 1, j + 2] = 1.0
+    return z, t
 
 
 def factorize(a: SymmetricMatrix) -> AasenFactors:
@@ -123,14 +138,15 @@ def factorize(a: SymmetricMatrix) -> AasenFactors:
         raise ValueError("matrix entries must be finite")
     # overflow near the top of the double range is reported once, below
     with np.errstate(over="ignore", invalid="ignore"):
-        z, alpha, beta = _sweep(a.entries[None])
-    if not (np.isfinite(alpha).all() and np.isfinite(beta).all() and np.isfinite(z).all()):
+        z, t = _sweep(a.entries[None])
+    if not (np.isfinite(t).all() and np.isfinite(z).all()):
         raise OverflowError("factorization overflows the double range (non-finite factor entry)")
 
+    n = a.n
     return AasenFactors(
         p=PermutationVector(z[0, :, 0]),
         L=UnitLowerTriangular(np.tril(z[0, :, 1:], -1)),
-        T=SymmetricTridiagonal(alpha[0], beta[0]),
+        T=SymmetricTridiagonal(t[0, :n], t[0, n:]),
     )
 
 
@@ -141,10 +157,10 @@ def _stacked_growth(a: np.ndarray) -> np.ndarray:
     equals growth_factor(A, factorize(A)) bit for bit.  The zero matrix
     scores 0, as in search.evaluate_candidate().
     """
-    _, alpha, beta = _sweep(a)
-    t = np.abs(np.concatenate((alpha, beta), axis=1)).max(axis=1)
-    m = np.abs(a).max(axis=(1, 2))
-    return np.divide(t, m, out=np.zeros(a.shape[0]), where=m != 0.0)
+    b = a.shape[0]
+    t = np.abs(_sweep(a)[1]).max(axis=1)
+    m = np.abs(a.reshape(b, -1)).max(axis=1)
+    return np.divide(t, m, out=np.zeros(b), where=m != 0.0)
 
 
 def tridiag_solve(tri: SymmetricTridiagonal, y) -> np.ndarray:

@@ -11,7 +11,9 @@ validating against REPORT_SCHEMA, on one line.
 At module level this imports only the standard library and the pure-Python
 lpcert, which also defines DomainError and MAX_N.  The numerical modules,
 and so numpy, load inside the functions that use them, so ``ltlt lp`` and a
-usage error never import numpy.
+usage error never import numpy.  ``factor``, ``certify`` and ``search
+--warm`` read and parse their input file before those imports, so a file
+that cannot be read or parsed does not load numpy either.
 """
 from __future__ import annotations
 
@@ -171,11 +173,10 @@ def emit_matrix(a: SymmetricMatrix) -> str:
 
 
 def parse_matrix(text: str) -> SymmetricMatrix:
-    """Parse the 'symmetric <n>' format; diagnostics carry line/column."""
-    import numpy as np
+    """Parse the 'symmetric <n>' format; diagnostics carry line/column.
 
-    from .matcore import SymmetricMatrix
-
+    Every check but symmetry runs on Python floats, before numpy loads.
+    """
     lines = text.splitlines()
     head = lines[0].split() if lines else []
     if len(head) != 2 or head[0] != "symmetric":
@@ -186,12 +187,12 @@ def parse_matrix(text: str) -> SymmetricMatrix:
         raise MatrixFileError(f"line 1: dimension {head[1]!r} is not an integer") from None
     if n < 1:
         raise MatrixFileError(f"line 1: dimension must be >= 1, got {n}")
-    # checked before allocating, so a huge header on a short file is a parse
-    # error rather than an n-by-n allocation
+    # checked before reading rows, so a huge header on a short file is a parse
+    # error found at once
     if len(lines) - 1 < n:
         raise MatrixFileError(f"line {len(lines) + 1}: missing row {len(lines)} of {n}")
 
-    entries = np.zeros((n, n))
+    entries = []
     for i in range(n):
         lineno = i + 2
         fields = lines[i + 1].split()
@@ -199,6 +200,7 @@ def parse_matrix(text: str) -> SymmetricMatrix:
             raise MatrixFileError(
                 f"line {lineno}: expected {n} values, got {len(fields)}"
             )
+        row = []
         for j, tok in enumerate(fields):
             try:
                 val = float(tok)
@@ -210,10 +212,13 @@ def parse_matrix(text: str) -> SymmetricMatrix:
                 raise MatrixFileError(
                     f"line {lineno}, column {j + 1}: entries must be finite, got {tok}"
                 )
-            entries[i, j] = val
+            row.append(val)
+        entries.append(row)
     for extra in range(n + 1, len(lines)):
         if lines[extra].split():
             raise MatrixFileError(f"line {extra + 1}: unexpected content after matrix")
+
+    from .matcore import SymmetricMatrix
 
     try:
         return SymmetricMatrix.from_full(entries, tol=SYMMETRY_TOL)
@@ -274,11 +279,11 @@ def _write_report(report: dict, out: str | None):
 
 
 def cmd_factor(args) -> int:
+    a = read_matrix(args.input)
     from .aasen import factorize
     from .growth import growth_factor
     from .matcore import residual
 
-    a = read_matrix(args.input)
     f = factorize(a)
     outputs = {
         "permutation": f.p.p.tolist(),
@@ -295,11 +300,11 @@ def cmd_factor(args) -> int:
 
 
 def cmd_certify(args) -> int:
+    a = read_matrix(args.input)
     from .aasen import factorize
     from .growth import growth_certificate
     from .matcore import residual
 
-    a = read_matrix(args.input)
     f = factorize(a)
     cert = growth_certificate(a, f)
     outputs = {
@@ -364,14 +369,14 @@ def cmd_examples(args) -> int:
 
 
 def cmd_search(args) -> int:
-    from .search import SearchConfig, maximize_growth
-
     _check_n("search", args.n)
     warm = ()
     inputs = {"n": args.n, "seed": args.seed, "restarts": args.restarts}
     if args.warm:
         warm = (read_matrix(args.warm),)
         inputs["warm"] = args.warm
+    from .search import SearchConfig, maximize_growth
+
     cfg = SearchConfig(n=args.n, restarts=args.restarts, seed=args.seed, warm_starts=warm)
     outcome = maximize_growth(cfg)
     bound = 2.0 ** (args.n - 1)

@@ -15,7 +15,6 @@ runs on this module alone.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import lcm
 from operator import mul
 from typing import NamedTuple, Tuple
@@ -38,8 +37,7 @@ class ConstraintRow(NamedTuple):
     up: int
 
 
-@dataclass(frozen=True)
-class DeltaProgram:
+class DeltaProgram(NamedTuple):
     """Slack-minimization program over delta_0 .. delta_(n-2)."""
 
     n: int
@@ -60,8 +58,7 @@ class DeltaProgram:
         return worst / den
 
 
-@dataclass(frozen=True)
-class LPSolution:
+class LPSolution(NamedTuple):
     objective_value: int
     point: Tuple[int, ...]
     iterations: int = 0  # the optimum is closed-form: no pivots

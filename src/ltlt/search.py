@@ -5,8 +5,10 @@ matrix: probe +/- step along every coordinate, accept the best improving
 probe, halve the step when none improves.  The restarts run in lockstep: each
 round scores the probes of every restart still searching as one stack, within
 STACK_BUDGET doubles, with the Aasen sweep that factorize() runs on a stack of
-one, so every value is the one evaluate_candidate() gives.  The outcome is the
-argmax over restarts, ties going to the lowest restart index.
+one, so every value is the one evaluate_candidate() gives.  The first round
+also scores the starts: its stack holds each start as the probe that stays
+put, so no kernel call scores them on their own.  The outcome is the argmax
+over restarts, ties going to the lowest restart index.
 """
 from __future__ import annotations
 
@@ -39,6 +41,8 @@ class SearchConfig:
     def __post_init__(self):
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
+        if self.max_iters < 1:
+            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         object.__setattr__(self, "warm_starts", tuple(self.warm_starts))
@@ -86,22 +90,25 @@ def _score(x, owner, at, cand, n: int, iu) -> np.ndarray:
 def _search_group(x: np.ndarray, max_iters: int, n: int, iu) -> Tuple[np.ndarray, int]:
     """Search from the (G, d) starts x in lockstep, leaving the best points in x.
 
-    Returns (best values, evaluations).  A restart takes its first probe (coordinates
-    in order, +step before -step) that attains its maximum, if that beats its value."""
+    Returns (best values, evaluations).  The first round scores the starts
+    too, as its column 0.  A restart takes its first probe (coordinates in
+    order, +step before -step) that attains its maximum, if that beats its
+    value.  max_iters must be at least 1."""
     g, d = x.shape
     rows = np.arange(g)
-    best, evals = _stacked_growth(_sym_stack(x, n, iu)), g  # G n^2 < G (2d + 1)
+    best, evals = np.full(g, -np.inf), 0  # -inf until round 1 scores the starts
     step = np.full(g, INITIAL_STEP)
     # column 0 stays put (x + -0.0 is x, bit for bit); 2k+1, 2k+2 probe x[k] +/- step
     coord = np.arange(-1, 2 * d) // 2
     sign = np.array([-0.0] + [1.0, -1.0] * d)
     vals = np.empty((g, 2 * d + 1))
 
-    for _ in range(max_iters):
+    for it in range(max_iters):
         xx = x[:, coord]
         cand = np.minimum(np.maximum(xx + step[:, None] * sign, -1.0), 1.0)
         # a finished restart keeps no probes, so it never improves again
         keep = (cand != xx) & (step >= MIN_STEP)[:, None]
+        keep[:, 0] = it == 0  # the first round scores the starts
         owner, pos = keep.nonzero()
         if not owner.size:
             break

@@ -488,3 +488,37 @@ def test_domain_errors_from_lazily_imported_modules(tmp_path, argv, message):
         [sys.executable, "-m", "ltlt.cli", *argv], capture_output=True, text=True, timeout=120
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (EXIT_DOMAIN, "", message)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["factor", "/no/such/file"],
+        ["certify", "{tmp}/headerless.txt"],
+        ["factor", "{tmp}/short.txt"],
+        ["search", "--n", "4", "--warm", "{tmp}/non_utf8.txt"],
+    ],
+)
+def test_unreadable_input_imports_no_numpy(tmp_path, argv):
+    # factor, certify and search --warm read and parse the file before the
+    # numerical modules load
+    (tmp_path / "headerless.txt").write_text("1 0\n0 1\n")
+    (tmp_path / "short.txt").write_text("symmetric 3\n1 0 0\n")
+    (tmp_path / "non_utf8.txt").write_bytes(b"symmetric 1\n\xff\n")
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    proc = run_python(
+        f"import sys; from ltlt import cli; code = cli.main({argv!r}); "
+        "print('numpy' in sys.modules); sys.exit(code)"
+    )
+    assert (proc.returncode, proc.stdout) == (EXIT_USAGE, "False\n"), proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
+def test_lp_path_imports_no_dataclasses():
+    # lpcert's records are NamedTuples, so `ltlt lp` loads neither dataclasses
+    # nor inspect, which dataclasses imports
+    proc = run_python(
+        "import sys; from ltlt import cli; assert cli.main(['lp', '--n', '30']) == 0; "
+        "sys.stdout.flush(); sys.stderr.write(repr(sorted({'dataclasses', 'inspect'} & set(sys.modules))))"
+    )
+    assert (proc.returncode, proc.stderr) == (0, "[]"), proc.stderr

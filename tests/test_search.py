@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from _helpers import rand_sym
+from ltlt import search
 from ltlt.extremal import extremal_matrix
 from ltlt.matcore import SymmetricMatrix, max_abs
 from ltlt.search import (
@@ -101,3 +102,41 @@ def test_outcome_invariants():
 def test_bound_respected_n3():
     out = maximize_growth(SearchConfig(n=3, restarts=16, max_iters=400, seed=0))
     assert 1.0 <= out.best_growth <= 4.0 + 1e-9
+
+
+@pytest.mark.parametrize("max_iters", [0, -3])
+def test_config_rejects_max_iters_below_one(max_iters):
+    with pytest.raises(ValueError, match=rf"max_iters must be >= 1, got {max_iters}"):
+        SearchConfig(n=4, restarts=2, max_iters=max_iters)
+
+
+def _record_kernel_calls(monkeypatch):
+    calls = []  # (stack, values) per kernel call
+
+    def kernel(a):
+        vals = kernel_orig(a)
+        calls.append((a.copy(), vals.copy()))
+        return vals
+
+    kernel_orig = search._stacked_growth
+    monkeypatch.setattr(search, "_stacked_growth", kernel)
+    return calls
+
+
+@pytest.mark.parametrize("max_iters", [1, 2, 5])
+def test_one_kernel_call_per_round(monkeypatch, max_iters):
+    # the first round scores the start too, so no call scores it on its own;
+    # at n = 4 every round still has probes and fits one stack
+    calls = _record_kernel_calls(monkeypatch)
+    maximize_growth(SearchConfig(n=4, restarts=1, max_iters=max_iters))
+    assert len(calls) == max_iters
+
+
+def test_first_stack_scores_the_start(monkeypatch):
+    warm = extremal_matrix(5, 0.01).A
+    calls = _record_kernel_calls(monkeypatch)
+    out = maximize_growth(SearchConfig(n=5, restarts=1, max_iters=1, warm_starts=(warm,)))
+    (stack, vals), = calls
+    assert stack[0].tobytes() == warm.entries.tobytes()
+    assert vals[0].tobytes() == np.float64(evaluate_candidate(warm)).tobytes()
+    assert out.evaluations == stack.shape[0]
