@@ -2,9 +2,9 @@
 
 Factorizes symmetric indefinite matrices as P A P^T = L T L^T with bounded
 multipliers, certifies the entrywise growth bounds that cap the growth
-factor at 2^(n-1), gives the exactly checked optimum of the slack linear
-program showing that bound is not tight from dimension 6 on, and ships the
-extremal example family plus a direct-search growth maximizer.
+factor at 2^(n-1), gives the exactly checked optimum of a slack linear
+program for the trailing entry t_nn, and ships the extremal example family
+plus a direct-search growth maximizer.
 
 The exported names load on first use (PEP 562): ``import ltlt`` imports no
 submodule, and numpy loads only with the first name from a module that

@@ -172,6 +172,19 @@ def emit_matrix(a: SymmetricMatrix) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _token_error(lineno: int, fields) -> MatrixFileError:
+    """The error for the first token of a failed row that is not a finite number."""
+    for j, tok in enumerate(fields):
+        try:
+            val = float(tok)
+        except ValueError:
+            return MatrixFileError(f"line {lineno}, column {j + 1}: {tok!r} is not a number")
+        if not math.isfinite(val):
+            return MatrixFileError(
+                f"line {lineno}, column {j + 1}: entries must be finite, got {tok}"
+            )
+
+
 def parse_matrix(text: str) -> SymmetricMatrix:
     """Parse the 'symmetric <n>' format; diagnostics carry line/column.
 
@@ -200,19 +213,12 @@ def parse_matrix(text: str) -> SymmetricMatrix:
             raise MatrixFileError(
                 f"line {lineno}: expected {n} values, got {len(fields)}"
             )
-        row = []
-        for j, tok in enumerate(fields):
-            try:
-                val = float(tok)
-            except ValueError:
-                raise MatrixFileError(
-                    f"line {lineno}, column {j + 1}: {tok!r} is not a number"
-                ) from None
-            if not math.isfinite(val):
-                raise MatrixFileError(
-                    f"line {lineno}, column {j + 1}: entries must be finite, got {tok}"
-                )
-            row.append(val)
+        try:
+            row = list(map(float, fields))
+        except ValueError:
+            raise _token_error(lineno, fields) from None
+        if not all(map(math.isfinite, row)):
+            raise _token_error(lineno, fields)
         entries.append(row)
     for extra in range(n + 1, len(lines)):
         if lines[extra].split():
@@ -454,9 +460,6 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         return args.func(args)
-    except MatrixFileError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
     except (DomainError, OverflowError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DOMAIN

@@ -6,8 +6,8 @@ matrix H = T L^T, and on the trailing rows of T.  All bounds are taken
 relative to the largest entry magnitude of the input matrix.
 
 The bounds are evaluated as two arrays, left-hand sides and bounds, in a
-fixed row order; the labelled rows are built from them only when asked for
-(``GrowthCertificate.labels`` and ``checks``).
+fixed row order.  The row labels are built only when asked for
+(``GrowthCertificate.labels``); ``worst()`` returns one labelled row.
 """
 from __future__ import annotations
 
@@ -68,15 +68,6 @@ class GrowthCertificate:
             for i in range(3, n + 1):
                 labels += [f"t[{i},{i - 1}]", f"t[{i},{i}]"]
         return labels
-
-    @cached_property
-    def checks(self) -> List[CheckRow]:
-        """The labelled rows, with Python-float fields."""
-        margin = self.bound - self.lhs
-        return [
-            CheckRow(*row)
-            for row in zip(self.labels, self.lhs.tolist(), self.bound.tolist(), margin.tolist())
-        ]
 
     def worst(self) -> CheckRow:
         """The row with the smallest margin; the first one on ties."""

@@ -1,9 +1,11 @@
 """Linear-program certificate for the trailing entry of the tridiagonal factor.
 
 For a target dimension n the program minimizes the total slack
-delta = sum(delta_j) that the entry t_nn must give up relative to 2^(n-1).
-A zero optimum means the bound can be approached; a positive optimum proves
-|t_nn| stays strictly below 2^(n-1) * max|a_ij|.
+delta = sum(delta_j) that the entry t_nn gives up relative to 2^(n-1).  The
+optimum is this program's: a positive one says that no point of its rows
+reaches 2^(n-1), not that every Aasen factorization keeps |t_nn| below
+2^(n-1) * max|a_ij| minus it.  The n = 9 matrix in tests/data/tnn_n9.txt
+has |t_99| / max|a_ij| = 32.741975, above the program's 2^8 - 228 = 28.
 
 The program data are Python ints.  No solver runs: solve_lp() returns the
 closed-form optimum, 0 for n <= 5 and 2^(n-1) - 28 from n = 6 on, once
@@ -160,5 +162,9 @@ def min_delta(n: int) -> int:
 
 
 def tnn_upper_bound(n: int) -> float:
-    """Upper bound on |t_nn| / max|a_ij|: 2^(n-1) minus the optimal slack."""
+    """2^(n-1) minus the optimal slack: the program's optimum for |t_nn| / max|a_ij|.
+
+    Not a bound on every factorization: the n = 9 matrix in
+    tests/data/tnn_n9.txt reaches 32.741975 where this gives 28.0.
+    """
     return float(2 ** (n - 1) - min_delta(n))

@@ -9,10 +9,6 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-# Slack allowed on the |l_ij| <= 1 multiplier bound: pivoting guarantees the
-# bound in exact arithmetic, the slack absorbs one rounding.
-TOL_PIVOT = 1e-14
-
 
 def _frozen(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=float)
@@ -89,18 +85,13 @@ class PermutationVector:
     def n(self) -> int:
         return self.p.shape[0]
 
-    def inverse(self) -> "PermutationVector":
-        inv = np.empty_like(self.p)
-        inv[self.p] = np.arange(self.n)
-        return PermutationVector(inv)
-
 
 @dataclass(frozen=True)
 class UnitLowerTriangular:
     """Unit lower triangular matrix; only the strict lower triangle is stored.
 
     The first column is e_1 (no multipliers below the leading 1) and every
-    stored multiplier is bounded by 1 up to TOL_PIVOT.
+    stored multiplier satisfies |l_ij| <= 1 exactly.
     """
 
     strict: np.ndarray
@@ -115,8 +106,8 @@ class UnitLowerTriangular:
             raise ValueError("entries on or above the diagonal must be zero")
         if n > 1 and np.any(a[1:, 0] != 0.0):
             raise ValueError("first column must be e_1 (no multipliers in column 0)")
-        if a.size and np.max(np.abs(a)) > 1.0 + TOL_PIVOT:
-            raise ValueError(f"multiplier exceeds 1 by more than {TOL_PIVOT:g}")
+        if a.size and np.max(np.abs(a)) > 1.0:
+            raise ValueError("multiplier exceeds 1 in magnitude")
         object.__setattr__(self, "strict", a)
 
     @classmethod

@@ -12,7 +12,7 @@ over restarts, ties going to the lowest restart index.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Tuple
 
 import numpy as np
@@ -51,6 +51,8 @@ class SearchConfig:
                 raise ValueError(f"warm start has dimension {w.n}, expected {self.n}")
             if max_abs(w) > 1.0:
                 raise ValueError("warm start entries must lie in [-1, 1]")
+        if self.n < 3:
+            raise ValueError("search requires n >= 3")
 
 
 @dataclass(frozen=True)
@@ -58,7 +60,7 @@ class SearchOutcome:
     best_matrix: SymmetricMatrix
     best_growth: float
     evaluations: int
-    per_restart_best: List[float] = field(default_factory=list)
+    per_restart_best: List[float]
 
 
 def evaluate_candidate(m: SymmetricMatrix) -> float:
@@ -126,8 +128,6 @@ def _search_group(x: np.ndarray, max_iters: int, n: int, iu) -> Tuple[np.ndarray
 
 def maximize_growth(config: SearchConfig) -> SearchOutcome:
     """Run every warm start, then seeded random starts up to config.restarts in all."""
-    if config.n < 3:
-        raise ValueError("search requires n >= 3")
     n, iu = config.n, np.triu_indices(config.n)
     d = iu[0].shape[0]
     warm = [w.entries[iu] for w in config.warm_starts]

@@ -71,6 +71,8 @@ def test_parse_recovers_exact_values():
         ("symmetric 2\n1 0\n0 1 2\n", "expected 2 values, got 3"),
         ("symmetric 2\n1 zebra\n0 1\n", "line 2, column 2"),
         ("symmetric 2\n1 inf\ninf 1\n", "finite"),
+        # the first bad token decides, whatever kind of fault comes later in the row
+        ("symmetric 2\ninf abc\n0 1\n", "line 2, column 1: entries must be finite, got inf"),
         ("symmetric 2\n1 0\n0 1\nleftover\n", "unexpected content"),
         ("symmetric 2\n1 0.5\n0.4999 1\n", "asymmetric"),
     ],

@@ -54,7 +54,7 @@ def test_certificate_identity_all_pass():
     cert = growth_certificate(a, factorize(a))
     assert cert.all_pass
     # the unit diagonal sits exactly on the |t11|, |t22| bounds; no row dips below
-    assert all(row.margin >= 0 for row in cert.checks)
+    assert np.all(cert.bound - cert.lhs >= 0)
     assert cert.rho == 1.0
 
 
@@ -64,11 +64,11 @@ def test_certificate_small_delta_margin():
     ex = extremal_matrix(5, 1e-6)
     cert = growth_certificate(ex.A, _ref_factors(ex))
     assert cert.all_pass
-    t55 = next(r for r in cert.checks if r.label == "t[5,5]")
-    assert t55.bound == 16.0
-    assert abs(t55.margin - 12e-6) <= 1e-9
-    t54 = next(r for r in cert.checks if r.label == "t[5,4]")
-    assert abs(t54.margin - 4e-6) <= 1e-9
+    t55, t54 = cert.labels.index("t[5,5]"), cert.labels.index("t[5,4]")
+    margin = cert.bound - cert.lhs
+    assert cert.bound[t55] == 16.0
+    assert abs(margin[t55] - 12e-6) <= 1e-9
+    assert abs(margin[t54] - 4e-6) <= 1e-9
 
 
 def test_certificate_row_count_structure():
@@ -77,13 +77,13 @@ def test_certificate_row_count_structure():
         a = SymmetricMatrix(np.eye(n))
         cert = growth_certificate(a, factorize(a))
         expect = 3 + 2 * (n - 2) + (n - 2) + (n - 1) * (n - 2) // 2 + 1
-        assert len(cert.checks) == expect
+        assert len(cert.labels) == len(cert.lhs) == len(cert.bound) == expect
 
 
 def test_certificate_n2_leading_rows_only():
     a = SymmetricMatrix(np.array([[1.0, -0.5], [-0.5, 0.25]]))
     cert = growth_certificate(a, factorize(a))
-    assert [r.label for r in cert.checks] == ["t[1,1]", "t[2,1]", "t[2,2]"]
+    assert cert.labels == ["t[1,1]", "t[2,1]", "t[2,2]"]
     assert cert.all_pass
 
 
@@ -107,14 +107,9 @@ def _assert_matches_oracle(a, f):
     """growth_certificate against the row-at-a-time oracle, bit for bit."""
     cert = growth_certificate(a, f)
     want = certificate_rows_scalar(a, f)
-    got = cert.checks
     assert cert.labels == [row[0] for row in want]
-    assert [row.label for row in got] == cert.labels
-    for k in (1, 2, 3):
-        assert _float_bytes([row[k] for row in got]) == _float_bytes([row[k] for row in want])
-    assert all(type(x) is float for row in got for x in row[1:])
-    assert cert.lhs.tobytes() == _float_bytes([row[1] for row in want])
-    assert cert.bound.tobytes() == _float_bytes([row[2] for row in want])
+    for k, got in enumerate((cert.lhs, cert.bound, cert.bound - cert.lhs), 1):
+        assert got.tobytes() == _float_bytes([row[k] for row in want])
     assert cert.all_pass is all(row[3] >= -MARGIN_TOL for row in want)
     assert cert.rho == growth_factor(a, f)
     worst = cert.worst()
@@ -176,8 +171,10 @@ def test_certificate_failing_rows_match_oracle():
     )
     cert, want = _assert_matches_oracle(SymmetricMatrix(np.eye(5)), f)
     assert cert.all_pass is False
-    first_fail = next(row for row in cert.checks if row.margin < -MARGIN_TOL)
-    assert tuple(first_fail) == next(row for row in want if row[3] < -MARGIN_TOL)
+    margin = cert.bound - cert.lhs
+    k = int(np.flatnonzero(margin < -MARGIN_TOL)[0])
+    first_fail = (cert.labels[k], cert.lhs[k], cert.bound[k], margin[k])
+    assert first_fail == next(row for row in want if row[3] < -MARGIN_TOL)
     assert cert.worst().margin < -MARGIN_TOL
 
 
@@ -185,7 +182,8 @@ def test_certificate_worst_first_of_ties():
     # identity: t[1,1] and t[2,2] both sit exactly on their bound
     a = SymmetricMatrix(np.eye(6))
     cert = growth_certificate(a, factorize(a))
-    assert [row.label for row in cert.checks if row.margin == 0.0][:2] == ["t[1,1]", "t[2,2]"]
+    tight = np.flatnonzero(cert.bound - cert.lhs == 0.0)[:2]
+    assert [cert.labels[k] for k in tight] == ["t[1,1]", "t[2,2]"]
     assert cert.worst() == ("t[1,1]", 1.0, 1.0, 0.0)
 
 

@@ -1,7 +1,12 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from _helpers import lp_simplex, lp_vertex_minimum
+from _helpers import factorize_scalar, lp_simplex, lp_vertex_minimum
+from ltlt.aasen import factorize
+from ltlt.cli import read_matrix
+from ltlt.growth import growth_certificate
 from ltlt.lpcert import (
     ConstraintRow,
     DeltaProgram,
@@ -217,3 +222,18 @@ def test_tnn_upper_bound():
     assert tnn_upper_bound(7) < 64.0
     for n in (6, 21, 35, 60, 200, 1024):
         assert tnn_upper_bound(n) == 28.0
+
+
+def test_tnn_fixture_exceeds_the_program_optimum():
+    # found by the direct search scoring |t_nn| / max|a| in place of growth:
+    # the program's optimum 28 does not bound every Aasen factorization at
+    # n = 9, while the paper's 2^(n-1) does
+    a = read_matrix(str(Path(__file__).parent / "data" / "tnn_n9.txt"))
+    f = factorize(a)
+    want = factorize_scalar(a.entries)
+    for got, exp in zip((f.p.p, f.L.strict, f.T.diag, f.T.offdiag), want):
+        assert got.dtype == exp.dtype and got.tobytes() == exp.tobytes()
+    assert growth_certificate(a, f).all_pass
+    tnn = abs(f.T.diag[-1]) / np.abs(a.entries).max()
+    assert abs(tnn - 32.741975) <= 1e-6
+    assert tnn_upper_bound(9) == 28.0 < tnn < 2.0**8

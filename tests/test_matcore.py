@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _helpers import assemble_triple_loop, rand_sym
-from ltlt.aasen import factorize
+from ltlt.aasen import factorize, solve, tridiag_solve
 from ltlt.extremal import extremal_matrix
 from ltlt.matcore import (
     PermutationVector,
@@ -54,7 +54,7 @@ def test_permute_roundtrip_exact():
     rng = np.random.default_rng(1)
     a = rand_sym(rng, 5)
     p = PermutationVector(rng.permutation(5))
-    back = permute_sym(permute_sym(a, p), p.inverse())
+    back = permute_sym(permute_sym(a, p), PermutationVector(np.argsort(p.p)))
     assert np.array_equal(back.entries, a.entries)
 
 
@@ -64,7 +64,7 @@ def test_permute_roundtrip_property(n, seed):
     rng = np.random.default_rng(seed)
     a = rand_sym(rng, n)
     p = PermutationVector(rng.permutation(n))
-    back = permute_sym(permute_sym(a, p), p.inverse())
+    back = permute_sym(permute_sym(a, p), PermutationVector(np.argsort(p.p)))
     assert np.array_equal(back.entries, a.entries)
 
 
@@ -140,6 +140,13 @@ def test_symmetric_matrix_rejects_asymmetry():
     assert np.array_equal(fixed.entries, fixed.entries.T)
 
 
+def _lower3(l32):
+    """3-by-3 strict lower part whose one multiplier, l_32, is l32."""
+    strict = np.zeros((3, 3))
+    strict[2, 1] = l32
+    return strict
+
+
 def test_unit_lower_invariants():
     with pytest.raises(ValueError):
         UnitLowerTriangular(np.array([[0.0, 0.0], [1.5, 0.0]]))  # multiplier > 1
@@ -147,6 +154,44 @@ def test_unit_lower_invariants():
     bad_first[1, 0] = 0.5
     with pytest.raises(ValueError):
         UnitLowerTriangular(bad_first)
+    # |l_ij| <= 1 holds with no slack: the sweep clips every multiplier into [-1, 1]
+    for l32 in (1.0, -1.0):
+        assert UnitLowerTriangular(_lower3(l32)).strict[2, 1] == l32
+
+
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        (lambda: SymmetricMatrix(np.zeros((2, 3))), r"square matrix, got shape \(2, 3\)"),
+        (lambda: SymmetricMatrix(np.zeros((0, 0))), "matrix dimension must be >= 1"),
+        (lambda: SymmetricMatrix([[1.0, 2.0], [3.0, 1.0]]), "not exactly symmetric"),
+        (lambda: SymmetricMatrix.from_full(np.zeros((3, 2))), r"square matrix, got shape \(3, 2\)"),
+        (lambda: UnitLowerTriangular(np.zeros((3, 2))), "expected a square array"),
+        (lambda: UnitLowerTriangular(np.eye(2)), "on or above the diagonal must be zero"),
+        (lambda: UnitLowerTriangular(_lower3(np.nextafter(1.0, 2.0))), "exceeds 1"),
+        (lambda: UnitLowerTriangular(_lower3(np.nextafter(-1.0, -2.0))), "exceeds 1"),
+        (lambda: SymmetricTridiagonal([1.0, 2.0, 3.0], [1.0]), "got 3 and 1"),
+        (
+            lambda: assemble(
+                UnitLowerTriangular.identity(2), SymmetricTridiagonal(np.ones(3), np.zeros(2))
+            ),
+            "dimension mismatch: L is 2, T is 3",
+        ),
+        (
+            lambda: tridiag_solve(SymmetricTridiagonal(np.ones(2), np.zeros(1)), np.ones(3)),
+            "right-hand side has length",
+        ),
+        (lambda: solve(factorize(SymmetricMatrix(np.eye(2))), [1.0]), "right-hand side has length"),
+    ],
+    ids=[
+        "sym-non-square", "sym-empty", "sym-asymmetric", "from-full-non-square",
+        "lower-non-square", "lower-diagonal", "lower-above-1", "lower-below-minus-1",
+        "tridiag-lengths", "assemble-dims", "tridiag-solve-rhs", "solve-rhs",
+    ],
+)
+def test_constructors_and_solves_reject_bad_shapes_and_values(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 def test_permutation_rejects_non_bijection():

@@ -39,8 +39,8 @@ def test_config_validation():
         SearchConfig(n=4, warm_starts=(SymmetricMatrix(np.eye(3)),))
     with pytest.raises(ValueError):
         SearchConfig(n=3, warm_starts=(SymmetricMatrix(2.0 * np.eye(3)),))
-    with pytest.raises(ValueError):
-        maximize_growth(SearchConfig(n=2))
+    with pytest.raises(ValueError, match="search requires n >= 3"):
+        SearchConfig(n=2)
 
 
 def test_config_rejects_negative_seed():
