@@ -5,8 +5,10 @@ cannot be read or decoded, or an output path that cannot be written),
 2 domain error (validity window, an lp or search dimension outside
 3..MAX_N, a factorization or a certificate bound overflowing the double
 range), 3 internal invariant violation (a failing certificate, which
-should never occur).  Every successful invocation prints one JSON report
-validating against REPORT_SCHEMA, on one line.
+should never occur).  Every successful invocation, and a failing
+certificate, prints one JSON report validating against REPORT_SCHEMA, on
+one line.  A table in a report (the certificate's rows, the LP's rows) is
+one object of equal-length arrays, one per field of the row type.
 
 At module level this imports only the standard library and the pure-Python
 lpcert, which also defines DomainError and MAX_N.  The numerical modules,
@@ -24,13 +26,13 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .lpcert import MAX_N, DomainError, build_program, solve_lp
+from .lpcert import MAX_N, ConstraintRow, DomainError, build_program, solve_lp
 
 if TYPE_CHECKING:
     from .growth import GrowthCertificate
     from .matcore import SymmetricMatrix
 
-SCHEMA_VERSION = "2"
+SCHEMA_VERSION = "3"
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -48,6 +50,19 @@ class MatrixFileError(ValueError):
 _NUM = {"type": "number"}
 _NUM_ARRAY = {"type": "array", "items": _NUM}
 _MATRIX = {"type": "array", "items": _NUM_ARRAY}
+
+
+def _table(**columns) -> dict:
+    """Schema of a table written as columns: one array per named field.
+
+    The arrays must have equal length, which the schema cannot state."""
+    return {
+        "type": "object",
+        "additionalProperties": False,
+        "required": list(columns),
+        "properties": {k: {"type": "array", "items": v} for k, v in columns.items()},
+    }
+
 
 REPORT_SCHEMA = {
     "$schema": "http://json-schema.org/draft-07/schema#",
@@ -87,20 +102,8 @@ REPORT_SCHEMA = {
                     "additionalProperties": False,
                     "required": ["rows", "all_pass", "rho"],
                     "properties": {
-                        "rows": {
-                            "type": "array",
-                            "items": {
-                                "type": "object",
-                                "additionalProperties": False,
-                                "required": ["label", "lhs", "bound", "margin"],
-                                "properties": {
-                                    "label": {"type": "string"},
-                                    "lhs": _NUM,
-                                    "bound": _NUM,
-                                    "margin": _NUM,
-                                },
-                            },
-                        },
+                        # growth.CheckRow's fields
+                        "rows": _table(label={"type": "string"}, lhs=_NUM, bound=_NUM, margin=_NUM),
                         "all_pass": {"type": "boolean"},
                         "rho": _NUM,
                     },
@@ -108,25 +111,12 @@ REPORT_SCHEMA = {
                 "lp": {
                     "type": "object",
                     "additionalProperties": False,
-                    "required": ["objective", "point", "iterations", "tnn_bound"],
+                    "required": ["objective", "point", "tnn_bound"],
                     "properties": {
-                        "rows": {
-                            "type": "array",
-                            "items": {
-                                "type": "object",
-                                "additionalProperties": False,
-                                "required": ["label", "coeffs", "lo", "up"],
-                                "properties": {
-                                    "label": {"type": "string"},
-                                    "coeffs": _NUM_ARRAY,
-                                    "lo": _NUM,
-                                    "up": _NUM,
-                                },
-                            },
-                        },
+                        # lpcert.ConstraintRow's fields
+                        "rows": _table(label={"type": "string"}, coeffs=_NUM_ARRAY, lo=_NUM, up=_NUM),
                         "objective": _NUM,
                         "point": _NUM_ARRAY,
-                        "iterations": {"type": "integer"},
                         "tnn_bound": _NUM,
                         "bound_not_tight": {"type": "boolean"},
                     },
@@ -153,7 +143,6 @@ REPORT_SCHEMA = {
                         "bound": _NUM,
                         "gap": _NUM,
                         "evaluations": {"type": "integer"},
-                        "restarts": {"type": "integer"},
                         "per_restart_best": _NUM_ARRAY,
                         "best_matrix": _MATRIX,
                     },
@@ -252,36 +241,36 @@ def _write_text(path: Path, text: str, parents: bool = False):
 
 
 def _cert_dict(cert: GrowthCertificate) -> dict:
-    margin = cert.bound - cert.lhs
     return {
-        "rows": [
-            {"label": label, "lhs": lhs, "bound": bound, "margin": m}
-            for label, lhs, bound, m in zip(
-                cert.labels, cert.lhs.tolist(), cert.bound.tolist(), margin.tolist()
-            )
-        ],
+        "rows": {
+            "label": cert.labels,
+            "lhs": cert.lhs.tolist(),
+            "bound": cert.bound.tolist(),
+            "margin": (cert.bound - cert.lhs).tolist(),
+        },
         "all_pass": cert.all_pass,
         "rho": cert.rho,
     }
 
 
-def _report(command: str, inputs: dict, outputs: dict, status: str = "ok") -> dict:
-    return {
+def _write_report(
+    command: str, inputs: dict, outputs: dict, out: str | None, passed: bool = True
+) -> int:
+    """Write the report to ``out`` or stdout; returns the exit code, 3 unless ``passed``."""
+    report = {
         "schema_version": SCHEMA_VERSION,
         "command": command,
-        "status": status,
+        "status": "ok" if passed else "invariant-violation",
         "inputs": inputs,
         "outputs": outputs,
     }
-
-
-def _write_report(report: dict, out: str | None):
     # no indent: json's C encoder only runs on compact output
     text = json.dumps(report, allow_nan=False) + "\n"
     if out:
         _write_text(Path(out), text)
     else:
         sys.stdout.write(text)
+    return EXIT_OK if passed else EXIT_INTERNAL
 
 
 def cmd_factor(args) -> int:
@@ -300,9 +289,7 @@ def cmd_factor(args) -> int:
     }
     if a.entries.any():
         outputs["growth"] = growth_factor(a, f)
-    inputs = {"path": args.input, "n": a.n}
-    _write_report(_report("factor", inputs, outputs), args.out)
-    return EXIT_OK
+    return _write_report("factor", {"path": args.input, "n": a.n}, outputs, args.out)
 
 
 def cmd_certify(args) -> int:
@@ -319,9 +306,7 @@ def cmd_certify(args) -> int:
         "residual": residual(a, f.p, f.L, f.T),
     }
     inputs = {"path": args.input, "n": a.n}
-    status = "ok" if cert.all_pass else "invariant-violation"
-    _write_report(_report("certify", inputs, outputs, status), args.out)
-    return EXIT_OK if cert.all_pass else EXIT_INTERNAL
+    return _write_report("certify", inputs, outputs, args.out, cert.all_pass)
 
 
 def _check_n(command: str, n: int):
@@ -336,16 +321,14 @@ def cmd_lp(args) -> int:
     # the program and its optimum are exact ints, and so are the report's rows
     outputs = {
         "lp": {
-            "rows": [r._asdict() for r in prog.rows],
+            "rows": dict(zip(ConstraintRow._fields, zip(*prog.rows))),
             "objective": sol.objective_value,
             "point": list(sol.point),
-            "iterations": sol.iterations,
             "tnn_bound": float(2 ** (args.n - 1) - sol.objective_value),
             "bound_not_tight": sol.objective_value > 0,
         }
     }
-    _write_report(_report("lp", {"n": args.n}, outputs), args.out)
-    return EXIT_OK
+    return _write_report("lp", {"n": args.n}, outputs, args.out)
 
 
 def cmd_examples(args) -> int:
@@ -369,9 +352,7 @@ def cmd_examples(args) -> int:
         }
     }
     inputs = {"n": args.n, "delta": args.delta, "out_dir": str(out_dir)}
-    status = "ok" if both_pass else "invariant-violation"
-    _write_report(_report("examples", inputs, outputs, status), None)
-    return EXIT_OK if both_pass else EXIT_INTERNAL
+    return _write_report("examples", inputs, outputs, None, both_pass)
 
 
 def cmd_search(args) -> int:
@@ -392,13 +373,11 @@ def cmd_search(args) -> int:
             "bound": bound,
             "gap": bound - outcome.best_growth,
             "evaluations": outcome.evaluations,
-            "restarts": len(outcome.per_restart_best),
             "per_restart_best": outcome.per_restart_best,
             "best_matrix": outcome.best_matrix.entries.tolist(),
         }
     }
-    _write_report(_report("search", inputs, outputs), args.out)
-    return EXIT_OK
+    return _write_report("search", inputs, outputs, args.out)
 
 
 class _Parser(argparse.ArgumentParser):

@@ -52,7 +52,7 @@ class SymmetricMatrix:
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {a.shape}")
         skew = float(np.max(np.abs(a - a.T))) if a.size else 0.0
-        if skew > tol:
+        if not skew <= tol:  # a NaN skew fails too
             raise ValueError(f"matrix is asymmetric by {skew:.3e} (tolerance {tol:.3e})")
         sym = np.tril(a) + np.tril(a, -1).T
         return cls(sym)
@@ -72,8 +72,7 @@ class PermutationVector:
     def __post_init__(self):
         p = np.array(self.p, dtype=np.intp)
         p.setflags(write=False)
-        n = p.shape[0]
-        if p.ndim != 1 or sorted(p.tolist()) != list(range(n)):
+        if p.ndim != 1 or sorted(p.tolist()) != list(range(p.shape[0])):
             raise ValueError("p is not a permutation of 0..n-1")
         object.__setattr__(self, "p", p)
 
@@ -99,12 +98,11 @@ class UnitLowerTriangular:
 
     def __post_init__(self):
         a = _frozen(self.strict)
-        n = a.shape[0]
-        if a.ndim != 2 or a.shape != (n, n):
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"expected a square array, got shape {a.shape}")
         if np.any(np.triu(a) != 0.0):
             raise ValueError("entries on or above the diagonal must be zero")
-        if n > 1 and np.any(a[1:, 0] != 0.0):
+        if np.any(a[1:, :1] != 0.0):
             raise ValueError("first column must be e_1 (no multipliers in column 0)")
         if a.size and np.max(np.abs(a)) > 1.0:
             raise ValueError("multiplier exceeds 1 in magnitude")
@@ -134,7 +132,9 @@ class SymmetricTridiagonal:
     def __post_init__(self):
         d = _frozen(self.diag)
         e = _frozen(self.offdiag)
-        if d.ndim != 1 or e.ndim != 1 or e.shape[0] != max(d.shape[0] - 1, 0):
+        if d.ndim != 1 or e.ndim != 1:
+            raise ValueError(f"diag and offdiag must be 1-d, got shapes {d.shape} and {e.shape}")
+        if e.shape[0] != max(d.shape[0] - 1, 0):
             raise ValueError(
                 f"need diag of length n and offdiag of length n-1, "
                 f"got {d.shape[0]} and {e.shape[0]}"

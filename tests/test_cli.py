@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 from _helpers import certificate_rows_scalar, rand_sym
-from ltlt import cli, lpcert
+from ltlt import cli, growth, lpcert
 from ltlt.aasen import factorize
 from ltlt.cli import (
     EXIT_DOMAIN,
+    EXIT_INTERNAL,
     EXIT_OK,
     EXIT_USAGE,
     MatrixFileError,
@@ -20,7 +21,7 @@ from ltlt.cli import (
     parse_matrix,
 )
 from ltlt.extremal import extremal_matrix
-from ltlt.growth import MARGIN_TOL, growth_factor
+from ltlt.growth import MARGIN_TOL, CheckRow, growth_factor
 from ltlt.lpcert import solve_lp, tnn_upper_bound
 from ltlt.matcore import SymmetricMatrix
 
@@ -31,14 +32,24 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def check_report(out: str) -> dict:
+    """Parse a report, validate it, and check what the schema cannot state:
+    every table's columns have one length."""
+    report = json.loads(out)
+    jsonschema.validate(report, REPORT_SCHEMA)
+    assert report["schema_version"] == "3"
+    assert "rule" not in report["inputs"]
+    outputs = report["outputs"]
+    for table in (outputs.get("certificate", {}).get("rows"), outputs.get("lp", {}).get("rows")):
+        if table is not None:
+            assert len({len(column) for column in table.values()}) == 1
+    return report
+
+
 def report_of(capsys, *argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == EXIT_OK, err
-    report = json.loads(out)
-    jsonschema.validate(report, REPORT_SCHEMA)
-    assert report["schema_version"] == "2"
-    assert "rule" not in report["inputs"]
-    return report
+    return check_report(out)
 
 
 def test_emit_parse_roundtrip_bytes():
@@ -114,8 +125,10 @@ def test_cmd_certify(tmp_path, capsys):
     rep = report_of(capsys, "certify", str(path))
     cert = rep["outputs"]["certificate"]
     assert cert["all_pass"] is True
-    t55 = next(r for r in cert["rows"] if r["label"] == "t[5,5]")
-    assert abs(t55["margin"] - 0.12) <= 1e-9
+    rows = cert["rows"]
+    assert list(rows) == list(CheckRow._fields)
+    k = rows["label"].index("t[5,5]")
+    assert abs(rows["margin"][k] - 0.12) <= 1e-9
 
 
 def test_cmd_certify_random(tmp_path, capsys):
@@ -138,7 +151,7 @@ def test_cmd_lp_values(capsys):
 
     rep = report_of(capsys, "lp", "--n", "3")
     assert abs(rep["outputs"]["lp"]["objective"]) <= 1e-9
-    assert all(r["label"].startswith("box") for r in rep["outputs"]["lp"]["rows"])
+    assert all(label.startswith("box") for label in rep["outputs"]["lp"]["rows"]["label"])
 
 
 @pytest.mark.parametrize("n", [21, 35, 40, 60])
@@ -148,7 +161,7 @@ def test_cmd_lp_past_the_float_simplex(capsys, n):
     assert lp["tnn_bound"] == 28.0
     assert lp["objective"] == 2 ** (n - 1) - 28
     assert lp["bound_not_tight"] is True
-    assert lp["iterations"] == 0
+    assert "iterations" not in lp
 
 
 def test_cmd_lp_exact_report(capsys):
@@ -156,10 +169,11 @@ def test_cmd_lp_exact_report(capsys):
     assert (lp["objective"], lp["tnn_bound"]) == (4.0, 28.0)
     assert lp["point"] == [0.0, 0.0, 2.0, 2.0, 0.0]
     assert all(type(v) is int for v in (lp["objective"], *lp["point"]))
-    tail = lp["rows"][-1]
+    rows = lp["rows"]
+    assert list(rows) == list(lpcert.ConstraintRow._fields)
+    tail = {k: column[-1] for k, column in rows.items()}
     assert tail == {"label": "tail", "coeffs": [3.0, 3.0, -1.0, 1.0, -1.0], "lo": -6.0, "up": 0.0}
-    for row in lp["rows"]:
-        assert all(type(v) is int for v in (*row["coeffs"], row["lo"], row["up"]))
+    assert all(type(v) is int for v in (*sum(rows["coeffs"], []), *rows["lo"], *rows["up"]))
 
 
 @pytest.mark.parametrize("n", [58, 100])
@@ -171,7 +185,8 @@ def test_cmd_lp_report_point_is_feasible(capsys, n):
     assert tuple(lp["point"]) == solve_lp(prog).point
     assert lp["objective"] == sum(lp["point"]) == 2 ** (n - 1) - 28
     # rows written as doubles rejected the point from n = 56 on (41 power rows at n = 100)
-    assert [tuple(r.values()) for r in lp["rows"]] == [
+    rows = lp["rows"]
+    assert list(zip(rows["label"], rows["coeffs"], rows["lo"], rows["up"])) == [
         (r.label, list(r.coeffs), r.lo, r.up) for r in prog.rows
     ]
 
@@ -391,7 +406,7 @@ def test_report_is_one_line(tmp_path, capsys, command):
     code, out, err = run_cli(capsys, *argv)
     assert code == EXIT_OK, err
     assert out.endswith("\n") and out.count("\n") == 1
-    jsonschema.validate(json.loads(out), REPORT_SCHEMA)
+    check_report(out)
 
 
 def test_certify_out_file_matches_stdout(tmp_path, capsys):
@@ -413,7 +428,7 @@ def test_certify_report_matches_oracle(tmp_path, capsys):
     f = factorize(a)
     rows = certificate_rows_scalar(a, f)
     assert rep["outputs"]["certificate"] == {
-        "rows": [dict(zip(("label", "lhs", "bound", "margin"), row)) for row in rows],
+        "rows": dict(zip(CheckRow._fields, map(list, zip(*rows)))),
         "all_pass": all(row[3] >= -MARGIN_TOL for row in rows),
         "rho": growth_factor(a, f),
     }
@@ -421,8 +436,30 @@ def test_certify_report_matches_oracle(tmp_path, capsys):
 
 def test_write_report_rejects_nan(capsys):
     with pytest.raises(ValueError):
-        cli._write_report({"residual": float("nan")}, None)
+        cli._write_report("factor", {"n": 1}, {"residual": float("nan")}, None)
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("command", ["certify", "examples"])
+def test_failing_certificate_exits_3_with_a_report(tmp_path, capsys, monkeypatch, command):
+    # MARGIN_TOL = -1 asks every row for a margin of at least 1, which rows of
+    # the n = 6, delta = 0.4 certificates do not have
+    monkeypatch.setattr(growth, "MARGIN_TOL", -1.0)
+    path = tmp_path / "n6.txt"
+    path.write_text(emit_matrix(extremal_matrix(6, 0.4).A))
+    argv, section, verdict = {
+        "certify": (["certify", str(path)], "certificate", "all_pass"),
+        "examples": (
+            ["examples", "--n", "6", "--delta", "0.4", "--out", str(tmp_path)],
+            "example",
+            "certificates_pass",
+        ),
+    }[command]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (EXIT_INTERNAL, "")
+    report = check_report(out)
+    assert report["status"] == "invariant-violation"
+    assert report["outputs"][section][verdict] is False
 
 
 def test_module_entrypoint_subprocess(tmp_path):

@@ -166,6 +166,14 @@ def test_unit_lower_invariants():
         (lambda: SymmetricMatrix(np.zeros((0, 0))), "matrix dimension must be >= 1"),
         (lambda: SymmetricMatrix([[1.0, 2.0], [3.0, 1.0]]), "not exactly symmetric"),
         (lambda: SymmetricMatrix.from_full(np.zeros((3, 2))), r"square matrix, got shape \(3, 2\)"),
+        # a NaN skew used to pass the tolerance test (and above the diagonal, was dropped)
+        (lambda: SymmetricMatrix.from_full([[1.0, np.nan], [2.0, 1.0]]), "asymmetric by nan"),
+        (lambda: SymmetricMatrix.from_full([[1.0, 2.0], [np.nan, 1.0]]), "asymmetric by nan"),
+        # 0-d arrays used to raise IndexError before the ndim check
+        (lambda: PermutationVector(3), "not a permutation"),
+        (lambda: UnitLowerTriangular(np.float64(0.5)), r"square array, got shape \(\)"),
+        (lambda: SymmetricTridiagonal(1.0, []), r"1-d, got shapes \(\) and \(0,\)"),
+        (lambda: SymmetricTridiagonal([1.0, 2.0], 5.0), r"1-d, got shapes \(2,\) and \(\)"),
         (lambda: UnitLowerTriangular(np.zeros((3, 2))), "expected a square array"),
         (lambda: UnitLowerTriangular(np.eye(2)), "on or above the diagonal must be zero"),
         (lambda: UnitLowerTriangular(_lower3(np.nextafter(1.0, 2.0))), "exceeds 1"),
@@ -185,6 +193,8 @@ def test_unit_lower_invariants():
     ],
     ids=[
         "sym-non-square", "sym-empty", "sym-asymmetric", "from-full-non-square",
+        "from-full-nan-above", "from-full-nan-below", "perm-0d", "lower-0d", "tridiag-0d-diag",
+        "tridiag-0d-offdiag",
         "lower-non-square", "lower-diagonal", "lower-above-1", "lower-below-minus-1",
         "tridiag-lengths", "assemble-dims", "tridiag-solve-rhs", "solve-rhs",
     ],
