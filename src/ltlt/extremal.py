@@ -65,6 +65,8 @@ class ExampleReport:
 def _check_window(n: int, delta: float):
     if n not in _WINDOWS:
         raise ValueError(f"no extremal example for n={n}; supported: {SUPPORTED_N}")
+    if not np.isfinite(delta):  # every window comparison with NaN is false
+        raise DeltaWindowError(f"delta must be a finite number, got {delta}")
     lo, lo_incl, up, window, binding = _WINDOWS[n]
     ok_low = delta >= lo if lo_incl else delta > lo
     if not (ok_low and delta <= up):

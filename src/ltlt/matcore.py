@@ -16,6 +16,14 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _check_square_finite(a: np.ndarray):
+    """The shape and value checks both SymmetricMatrix constructors make first."""
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError(f"matrix entries must be finite, got {a[~np.isfinite(a)][0]}")
+
+
 def _value_eq(self, other):
     # the generated dataclass __eq__ compares array fields with ==, which raises
     if type(other) is not type(self):
@@ -32,8 +40,7 @@ class SymmetricMatrix:
 
     def __post_init__(self):
         a = _frozen(self.entries)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {a.shape}")
+        _check_square_finite(a)
         if a.shape[0] < 1:
             raise ValueError("matrix dimension must be >= 1")
         if not np.array_equal(a, a.T):
@@ -49,10 +56,10 @@ class SymmetricMatrix:
         averaging, so values survive bit-for-bit).
         """
         a = np.array(a, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {a.shape}")
-        skew = float(np.max(np.abs(a - a.T))) if a.size else 0.0
-        if not skew <= tol:  # a NaN skew fails too
+        _check_square_finite(a)
+        with np.errstate(over="ignore"):  # a skew past the double range reads inf
+            skew = float(np.max(np.abs(a - a.T))) if a.size else 0.0
+        if skew > tol:
             raise ValueError(f"matrix is asymmetric by {skew:.3e} (tolerance {tol:.3e})")
         sym = np.tril(a) + np.tril(a, -1).T
         return cls(sym)

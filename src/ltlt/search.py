@@ -13,6 +13,7 @@ over restarts, ties going to the lowest restart index.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import List, Tuple
 
 import numpy as np
@@ -70,26 +71,31 @@ def evaluate_candidate(m: SymmetricMatrix) -> float:
     return growth_factor(m, factorize(m))
 
 
-def _sym_stack(v: np.ndarray, n: int, iu) -> np.ndarray:
-    """(P, n, n) symmetric matrices from the (P, d) upper-triangle vectors v."""
-    m = np.zeros((v.shape[0], n, n))
-    m[:, iu[0], iu[1]] = v
-    m[:, iu[1], iu[0]] = v
-    return m
+@lru_cache(maxsize=None)
+def _triangle(n: int):
+    """(iu, sym): the upper-triangle indices and, for each of the n*n entries
+    of a symmetric matrix, the index of its value in the (d,) vector x[iu]."""
+    iu = np.triu_indices(n)
+    sym = np.empty((n, n), np.intp)
+    sym[iu] = sym[iu[1], iu[0]] = np.arange(iu[0].shape[0])
+    for a in (*iu, sym):
+        a.setflags(write=False)  # shared by every search at this n
+    return iu, sym.reshape(-1)
 
 
-def _score(x, owner, at, cand, n: int, iu) -> np.ndarray:
+def _score(x, owner, at, cand, n: int) -> np.ndarray:
     """Growth of each probe: row owner[k] of x with entry at[k] set to cand[k]."""
     size = max(1, STACK_BUDGET // (n * n))
+    sym = _triangle(n)[1]
     vals = np.empty(owner.shape[0])
     for s in range(0, owner.shape[0], size):
         probes = x[owner[s : s + size]]
         probes[np.arange(probes.shape[0]), at[s : s + size]] = cand[s : s + size]
-        vals[s : s + size] = _stacked_growth(_sym_stack(probes, n, iu))
+        vals[s : s + size] = _stacked_growth(probes[:, sym].reshape(-1, n, n))
     return vals
 
 
-def _search_group(x: np.ndarray, max_iters: int, n: int, iu) -> Tuple[np.ndarray, int]:
+def _search_group(x: np.ndarray, max_iters: int, n: int) -> Tuple[np.ndarray, int]:
     """Search from the (G, d) starts x in lockstep, leaving the best points in x.
 
     Returns (best values, evaluations).  The first round scores the starts
@@ -108,27 +114,30 @@ def _search_group(x: np.ndarray, max_iters: int, n: int, iu) -> Tuple[np.ndarray
     for it in range(max_iters):
         xx = x[:, coord]
         cand = np.minimum(np.maximum(xx + step[:, None] * sign, -1.0), 1.0)
-        # a finished restart keeps no probes, so it never improves again
+        # a finished restart keeps no probes, so it never improves again;
+        # column 0 equals xx, so only the first round, which scores the
+        # starts, keeps it
         keep = (cand != xx) & (step >= MIN_STEP)[:, None]
-        keep[:, 0] = it == 0  # the first round scores the starts
+        if it == 0:
+            keep[:, 0] = True
         owner, pos = keep.nonzero()
         if not owner.size:
             break
         vals.fill(-np.inf)
         vals[:, 0] = best
-        vals[keep] = _score(x, owner, coord[pos], cand[keep], n, iu)
+        vals[keep] = _score(x, owner, coord[pos], cand[keep], n)
         evals += owner.size
         # the first maximum wins, so a probe that only ties stays put
         i = vals.argmax(axis=1)
         best = vals[rows, i]
         x[rows, coord[i]] = cand[rows, i]
-        step[i == 0] *= SHRINK
+        np.multiply(step, SHRINK, out=step, where=i == 0)
     return best, evals
 
 
 def maximize_growth(config: SearchConfig) -> SearchOutcome:
     """Run every warm start, then seeded random starts up to config.restarts in all."""
-    n, iu = config.n, np.triu_indices(config.n)
+    n, (iu, sym) = config.n, _triangle(config.n)
     d = iu[0].shape[0]
     warm = [w.entries[iu] for w in config.warm_starts]
     num_starts = max(config.restarts, len(warm))
@@ -140,12 +149,12 @@ def maximize_growth(config: SearchConfig) -> SearchOutcome:
             else np.random.default_rng([config.seed, k]).uniform(-1.0, 1.0, d)
             for k in range(g0, min(g0 + group, num_starts))
         ])
-        best, evals = _search_group(x, config.max_iters, n, iu)
+        best, evals = _search_group(x, config.max_iters, n)
         per_restart += best.tolist()
         evaluations += evals
         i = int(best.argmax())
         if top is None or best[i] > top[0]:  # a tie keeps the earlier restart
             top = best[i], x[i]
 
-    best_matrix = SymmetricMatrix(_sym_stack(top[1][None, :], n, iu)[0])
+    best_matrix = SymmetricMatrix(top[1][sym].reshape(n, n))
     return SearchOutcome(best_matrix, float(top[0]), evaluations, per_restart)

@@ -7,6 +7,11 @@ with maximize_growth_scalar, which runs the restarts one after another and
 scores each probe on its own.  All comparisons are bitwise: the same
 floating-point operations run per item, so no tolerance applies.
 """
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -51,6 +56,26 @@ def _assert_matches_reference(stack):
 def test_kernel_matches_factorize_random(n):
     rng = np.random.default_rng([50, n])
     _assert_matches_reference([_sym(rng.uniform(-1.0, 1.0, (n, n))) for _ in range(40)])
+
+
+def test_kernel_bits_do_not_depend_on_the_stack_position_under_generic_blas():
+    # OpenBLAS's generic x86 (Katmai) ddot and gemv kernels take an
+    # alignment-dependent path: with a per-item operand stride that is not a
+    # multiple of 16 bytes, the odd items of an odd-n stack differed from
+    # factorize.  Other BLAS libraries ignore the variable, and the child
+    # still checks every item against the oracle.
+    env = dict(os.environ, OPENBLAS_CORETYPE="Prescott", OPENBLAS_NUM_THREADS="1")
+    code = (
+        f"import sys; sys.path.insert(0, {str(Path(__file__).parent)!r})\n"
+        "import numpy as np\n"
+        "from test_batch import _assert_matches_reference, _sym\n"
+        "rng = np.random.default_rng([50, 9])\n"
+        "_assert_matches_reference([_sym(rng.uniform(-1.0, 1.0, (9, 9))) for _ in range(40)])\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
 
 
 @pytest.mark.parametrize("n", [*range(1, 10), 50, 200])

@@ -276,6 +276,17 @@ def test_cmd_examples_window_violation(tmp_path, capsys):
     assert "0 < delta <= 2" in err
 
 
+@pytest.mark.parametrize("n", ["4", "5", "6"])
+@pytest.mark.parametrize("delta", ["nan", "inf"])
+def test_cmd_examples_non_finite_delta(tmp_path, capsys, n, delta):
+    code, out, err = run_cli(
+        capsys, "examples", "--n", n, "--delta", delta, "--out", str(tmp_path)
+    )
+    assert (code, out) == (EXIT_DOMAIN, "")
+    assert err == f"error: delta must be a finite number, got {delta}\n"
+    assert not list(tmp_path.iterdir())
+
+
 def test_cmd_examples_n5_midpoint(tmp_path, capsys):
     rep = report_of(
         capsys, "examples", "--n", "5", "--delta", "0.5", "--out", str(tmp_path)

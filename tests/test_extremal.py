@@ -51,6 +51,12 @@ def test_window_errors():
         (5, 1.0001, "0 < delta <= 1"),
         (6, 0.2, "2/5 <= delta <= 4/5"),
         (6, 0.9, "a[4,4]"),
+        # a non-finite delta is named, not blamed on delta = 0 or an entry bound
+        (4, float("nan"), "delta must be a finite number, got nan"),
+        (5, float("nan"), "delta must be a finite number, got nan"),
+        (6, float("nan"), "delta must be a finite number, got nan"),
+        (4, float("inf"), "delta must be a finite number, got inf"),
+        (6, float("-inf"), "delta must be a finite number, got -inf"),
     ]
     for n, d, fragment in cases:
         with pytest.raises(DeltaWindowError, match=".*"):

@@ -166,9 +166,16 @@ def test_unit_lower_invariants():
         (lambda: SymmetricMatrix(np.zeros((0, 0))), "matrix dimension must be >= 1"),
         (lambda: SymmetricMatrix([[1.0, 2.0], [3.0, 1.0]]), "not exactly symmetric"),
         (lambda: SymmetricMatrix.from_full(np.zeros((3, 2))), r"square matrix, got shape \(3, 2\)"),
-        # a NaN skew used to pass the tolerance test (and above the diagonal, was dropped)
-        (lambda: SymmetricMatrix.from_full([[1.0, np.nan], [2.0, 1.0]]), "asymmetric by nan"),
-        (lambda: SymmetricMatrix.from_full([[1.0, 2.0], [np.nan, 1.0]]), "asymmetric by nan"),
+        # non-finite entries are rejected first, by name, in both constructors
+        (lambda: SymmetricMatrix.from_full([[1.0, np.nan], [2.0, 1.0]]), "finite, got nan"),
+        (lambda: SymmetricMatrix.from_full([[1.0, 2.0], [np.nan, 1.0]]), "finite, got nan"),
+        (lambda: SymmetricMatrix([[1.0, np.inf], [np.inf, 1.0]]), "finite, got inf"),
+        (lambda: SymmetricMatrix([[np.nan]]), "finite, got nan"),
+        (lambda: SymmetricMatrix.from_full([[np.nan, 0.0], [0.0, 1.0]]), "finite, got nan"),
+        # inf - inf in the skew used to print a RuntimeWarning before the error
+        (lambda: SymmetricMatrix.from_full([[1.0, np.inf], [np.inf, 1.0]]), "finite, got inf"),
+        # finite entries whose skew overflows used to print a RuntimeWarning too
+        (lambda: SymmetricMatrix.from_full([[0.0, 1.7e308], [-1.7e308, 0.0]]), "asymmetric by inf"),
         # 0-d arrays used to raise IndexError before the ndim check
         (lambda: PermutationVector(3), "not a permutation"),
         (lambda: UnitLowerTriangular(np.float64(0.5)), r"square array, got shape \(\)"),
@@ -193,7 +200,8 @@ def test_unit_lower_invariants():
     ],
     ids=[
         "sym-non-square", "sym-empty", "sym-asymmetric", "from-full-non-square",
-        "from-full-nan-above", "from-full-nan-below", "perm-0d", "lower-0d", "tridiag-0d-diag",
+        "from-full-nan-above", "from-full-nan-below", "sym-inf", "sym-nan", "from-full-nan-diag",
+        "from-full-inf", "from-full-skew-overflow", "perm-0d", "lower-0d", "tridiag-0d-diag",
         "tridiag-0d-offdiag",
         "lower-non-square", "lower-diagonal", "lower-above-1", "lower-below-minus-1",
         "tridiag-lengths", "assemble-dims", "tridiag-solve-rhs", "solve-rhs",
