@@ -2,12 +2,15 @@
 
 L is unit lower triangular with first column e_1, T is symmetric tridiagonal,
 and P is chosen by partial pivoting so that every multiplier satisfies
-|l_ij| <= 1.  There is one column sweep, _sweep(), over a stack of matrices:
-factorize() runs it on a stack of one, and the search scores a whole stack
-of candidates through _stacked_growth().  The sweep keeps its elementwise
-state item-last, as (k, B) blocks, and hands numpy's stacked matmul
-item-major operands whose item stride is a multiple of 8 doubles, so every
-item of a stack gets the bits factorize() gives it alone.
+|l_ij| <= 1.  There is one column sweep over a stack of matrices, split into
+a plan and a run: a _SweepPlan holds the sweep's buffers for one (B, n)
+stack shape, and its run() resets them and sweeps a stack.  factorize()
+runs a one-shot plan on a stack of one; the search scores a whole stack of
+candidates through _stacked_growth(), keeping a plan while its rounds keep
+a stack size.  The sweep keeps its elementwise state item-last, as (k, B)
+blocks, and hands numpy's stacked matmul item-major operands whose item
+stride is a multiple of 8 doubles, so every item of a stack, in every run
+of a plan, gets the bits factorize() gives it alone.
 """
 from __future__ import annotations
 
@@ -65,7 +68,7 @@ def _pivot_offset(v: np.ndarray, axis: int = -1) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _row_layout(n: int):
-    """(w, rowoff, first_row, zrow_t) for _sweep() at dimension n.
+    """(w, rowoff, first_row, zrow_t) for a _SweepPlan at dimension n.
 
     w is the row width of z: at least 2n+1 doubles, with n*w a multiple of 8,
     so that every item of a stack starts on a multiple of 8 doubles.  rowoff
@@ -78,23 +81,24 @@ def _row_layout(n: int):
     rowoff = np.arange(0, n * w, w)[:, None]
     first_row = np.arange(n, 2 * n)
     for a in (rowoff, first_row):
-        a.setflags(write=False)  # shared by every sweep at this n
+        a.setflags(write=False)  # shared by every plan at this n
     return w, rowoff, first_row, np.dtype((np.void, 8 * w))
 
 
-def _sweep(a: np.ndarray):
-    """Aasen's column sweep on a (B, n, n) stack of finite symmetric matrices.
+class _SweepPlan:
+    """Aasen's column sweep on (B, n, n) stacks of finite symmetric matrices.
 
-    Returns z, t with a leading axis of B.  T is t, (B, 2n-1), interleaved:
-    its diagonal in the even columns, t_ii in column 2i, and its
-    off-diagonal in the odd ones, t_{i,i+1} in column 2i+1.  Row k of the
-    work array z (B, n, w) holds row k of L, unit diagonal included, in
-    columns 0..n-1, row perm[k] of A in columns n..2n-1, and in column 2n,
-    as intp bits, n + perm[k] plus the item's flat offset: the flat index of
-    entry perm[k] of the item's first carried A row.  (Row and column k of
-    P A P^T are row and column perm[k] of A.)  A row swap moves all three, so
-    column j of P A P^T from row j down is one flat gather: entry perm[j] of
-    the carried rows j..n-1.
+    A plan is built once for one stack shape and holds the sweep's buffers;
+    run(a) sweeps a stack through them and returns z, t with a leading axis
+    of B.  T is t, (B, 2n-1), interleaved: its diagonal in the even columns,
+    t_ii in column 2i, and its off-diagonal in the odd ones, t_{i,i+1} in
+    column 2i+1.  Row k of the work array z (B, n, w) holds row k of L, unit
+    diagonal included, in columns 0..n-1, row perm[k] of A in columns
+    n..2n-1, and in column 2n, as intp bits, n + perm[k] plus the item's flat
+    offset: the flat index of entry perm[k] of the item's first carried A
+    row.  (Row and column k of P A P^T are row and column perm[k] of A.)  A
+    row swap moves all three, so column j of P A P^T from row j down is one
+    flat gather: entry perm[j] of the carried rows j..n-1.
 
     Each step forms the working column h of H = T L^T and pivots on the
     entry of largest magnitude among the remaining rows, so multipliers never
@@ -108,84 +112,150 @@ def _sweep(a: np.ndarray):
     Layout.  A step's elementwise work (the h update, alpha, the working
     column, the pivot test and the multipliers) runs item-last, on
     contiguous (k, B) blocks, where numpy's per-call cost is lowest.  T is
-    kept item-last with beta_{i-1}, alpha_i and beta_i in rows 2i, 2i+1 and
-    2i+2 (row 0 is a -0.0, which adds nothing; t is rows 1..2n-1, viewed
-    item-major), and the current row of L is copied item-last with a zero
-    before it, so the three products of the h update are one multiply of two
-    (3, j+1, B) views.  The two BLAS calls of a step keep item-major
-    operands, as numpy's stacked matmul needs: the ddot for h[j] and the
-    gemv for the working column read rows of L from z, and h from the
-    item-major buffer hm, into which the h update is copied.  Every per-item
-    BLAS operand buffer, z and hm, has an item stride that is a multiple of
-    8 doubles, so all items share one alignment: some BLAS kernels
-    (OpenBLAS's generic x86 ones) take an alignment-dependent path, and an
-    item's bits must not depend on its place in the stack.
+    kept item-last in the block work with beta_{i-1}, alpha_i and beta_i in
+    rows 2i, 2i+1 and 2i+2 (row 0 is a -0.0, which adds nothing; t is rows
+    1..2n-1, viewed item-major), and the current row of L is copied
+    item-last with a zero before it, so the three products of the h update
+    are one multiply of two (3, j+1, B) views.  The two BLAS calls of a step
+    keep item-major operands, as numpy's stacked matmul needs: the ddot for
+    h[j] and the gemv for the working column read rows of L from z, and h
+    from the item-major buffer hm, into which the h update is copied.  Every
+    per-item BLAS operand buffer, z and hm, has an item stride that is a
+    multiple of 8 doubles, so all items share one alignment: some BLAS
+    kernels (OpenBLAS's generic x86 ones) take an alignment-dependent path,
+    and an item's bits must not depend on its place in the stack.
 
     Every item goes through the same floating-point operations whatever B is:
     the same elementwise products, one ddot per item for h[j] and one gemv per
     item for the working column (numpy's stacked matmul makes the same BLAS
     call per item as the 2-D one), and the same _pivot_offset() test.
+
+    Plan and run.  A step works through ~30 views of the buffers, two
+    matmul outputs and a pair of swap indices; at search sizes, making them
+    is a fifth to a third of a sweep's time.  A plan built with reuse=True
+    makes them all at build time and keeps them, so its runs make none; a
+    one-shot plan (the default) makes each step's views as the loop reaches
+    it and drops them after, so it holds little more than the buffers (at
+    n = 500, keeping all 500 steps' views would raise the sweep's peak
+    memory from 4.1 to 7.2 MB).  Both run the one loop body below.  A run
+    resets what the previous run left: the A block and the index column of
+    z, which every run loads, and the L block below row 0 and the block
+    work, which a new plan starts with; hm and the per-step outputs are
+    written before they are read.  So every run of a plan gives each item
+    the bits a new plan, and factorize() on the item alone, give it.
+
+    A plan belongs to the call that builds it: run() returns views into its
+    buffers, which the next run overwrites, and two threads must not run one
+    plan at once.  Nothing keeps plans between calls.
     """
-    b, n, _ = a.shape
-    w, rowoff, first_row, zrow_t = _row_layout(n)
-    z = np.zeros((b, n, w))
-    z[:, 0, 0] = 1.0
-    z[:, :, n : 2 * n] = a
-    zi = z.view(np.intp)
-    rows = np.arange(b)
-    np.add((rows * (n * w))[:, None], first_row, out=zi[:, :, 2 * n])  # perm is the identity
-    zflat = z.reshape(-1)
-    # each row of z as one void item, so a row swap is a plain fancy index
-    zrow = z.view(zrow_t).reshape(-1)
-    pair = np.empty((2, b), np.intp)  # flat rows j+1 and j+1+r of zrow
-    first = np.arange(1, b * n, n)
 
-    # item-last T (2n+1 rows), current row of L (n+2) and the h-update products (3n)
-    work = np.zeros((6 * n + 3, b))
-    t2, lpad, prod = work[: 2 * n + 1], work[2 * n + 1 : 3 * n + 3], work[3 * n + 3 :].reshape(3, n, b)
-    t2[0] = -0.0
-    rs = 8 * b
-    tv = np.ndarray((3, n, b), float, work, 0, (rs, 2 * rs, 8))  # beta_{i-1}, alpha_i, beta_i
-    lv = np.ndarray((3, n, b), float, work, (2 * n + 1) * rs, (rs, rs, 8))  # l_{i-1}, l_i, l_{i+1}
-    hm = np.empty((b, -(-n // 8) * 8))
+    def __init__(self, n: int, b: int, reuse: bool = False):
+        w, rowoff, first_row, zrow_t = _row_layout(n)
+        self.shape, self._rowoff = (b, n, n), rowoff
+        self._z = z = np.zeros((b, n, w))
+        z[:, 0, 0] = 1.0  # row 0 of L is e_1^T; no swap moves row 0
+        zi = z.view(np.intp)
+        # the flat index column of the identity permutation
+        self._start = (np.arange(b) * (n * w))[:, None] + first_row
+        self._lower, self._a, self._perm = z[:, 1:, 1:n], z[:, :, n : 2 * n], zi[:, :, 2 * n]
+        self._zflat = z.reshape(-1)
+        # each row of z as one void item, so a row swap is a plain fancy index
+        self._zrow = z.view(zrow_t).reshape(-1)
+        self._rows = np.arange(b)
 
-    for j in range(n):
-        col = zflat[rowoff[j:] + zi[:, j, 2 * n]]
-        if j == 0:  # no row has moved and no product is formed: h[0] = t_11 = a_11
-            hm[:, 0] = t2[1] = col[0]
-        else:
-            lpad[1 : j + 2] = z[:, j, : j + 1].T
-            p = np.multiply(tv[:, : j + 1], lv[:, : j + 1], out=prod[:, : j + 1])
-            # h_i = (alpha_i l_i + beta_{i-1} l_{i-1}) + beta_i l_{i+1}, i < j
-            h = np.add(p[1, :j], p[0, :j], out=p[1, :j])
-            hm[:, :j] = np.add(h, p[2, :j], out=h).T
-            dot = np.matmul(z[:, j, None, :j], hm[:, :j, None])[:, 0, 0]
-            np.subtract(col[0], dot, out=hm[:, j])
-            np.subtract(hm[:, j], p[0, j], out=t2[2 * j + 1])
-        if j == n - 1:
-            break
+        # item-last T (2n+1 rows), current row of L (n+2) and the h-update products (3n)
+        self._work = work = np.zeros((6 * n + 3, b))
+        work[0] = -0.0
+        self._t = work[1 : 2 * n].T
+        self._hm = np.empty((b, -(-n // 8) * 8))
+        self._steps = list(self._views()) if reuse else None
+        self._ran = False
 
-        v = col[1:]
-        np.subtract(v, np.matmul(z[:, j + 1 :, : j + 1], hm[:, : j + 1, None])[:, :, 0].T, out=v)
-        piv = t2[2 * j + 2]
-        if j == n - 2:  # one row is left: it is its own pivot, and needs no swap
-            piv[...] = v[0]
-        else:
-            r = _pivot_offset(v, axis=0)
-            piv[...] = v[r, rows]
-            # a zero pivot (zero working column) leaves zero multipliers; the
-            # clip removes the one-ulp excess over 1 division roundoff can add
-            q = np.divide(v, piv, out=np.zeros(v.shape), where=piv != 0.0)
-            z[:, j + 1 :, j + 1] = np.minimum(np.maximum(q, -1.0, out=q), 1.0, out=q).T
-            np.add(first, j, out=pair[0])
-            np.add(pair[0], r, out=pair[1])
-            zrow[pair] = zrow[pair[::-1]]
-        z[:, j + 1, j + 1] = 1.0
-    return z, t2[1 : 2 * n].T
+    def _views(self):
+        """Each pivot step's views and swap indices, in step order.
+
+        A step is (h, update, column, swap): the gather and h[j] views, then
+        those of the h update, the working column and the pivot swap, each
+        None where the step makes no such part (the update at step 0, the
+        working column at the last step, the swap at the last two)."""
+        (b, n, _), z, hm, work = self.shape, self._z, self._hm, self._work
+        t2, lpad, prod = work[: 2 * n + 1], work[2 * n + 1 : 3 * n + 3], work[3 * n + 3 :].reshape(3, n, b)
+        rs = 8 * b
+        tv = np.ndarray((3, n, b), float, work, 0, (rs, 2 * rs, 8))  # beta_{i-1}, alpha_i, beta_i
+        lv = np.ndarray((3, n, b), float, work, (2 * n + 1) * rs, (rs, rs, 8))  # l_{i-1}, l_i, l_{i+1}
+        # flat rows j+1 and j+1+r of zrow, the rows step j swaps
+        pairs = np.empty((n, 2, b), np.intp)
+        np.add(np.arange(1, b * n + 1, n), np.arange(n)[:, None], out=pairs[:, 0])
+        for j in range(n):
+            update = column = swap = None
+            if j > 0:
+                p, dot = prod[:, : j + 1], np.empty((b, 1, 1))
+                update = (
+                    lpad[1 : j + 2], z[:, j, : j + 1].T, tv[:, : j + 1], lv[:, : j + 1], p,
+                    p[0, :j], p[1, :j], p[2, :j], p[0, j], hm[:, :j].T,
+                    z[:, j, None, :j], hm[:, :j, None], dot, dot[:, 0, 0],
+                )
+            if j < n - 1:
+                gemv = np.empty((b, n - j - 1, 1))
+                column = (
+                    z[:, j + 1 :, : j + 1], hm[:, : j + 1, None], gemv, gemv[:, :, 0].T,
+                    t2[2 * j + 2], z[:, j + 1, j + 1],
+                )
+            if j < n - 2:
+                pair = pairs[j]
+                swap = z[:, j + 1 :, j + 1].T, pair, pair[::-1], pair[0], pair[1]
+            yield (self._rowoff[j:], self._perm[:, j], hm[:, j], t2[2 * j + 1]), update, column, swap
+
+    def run(self, a: np.ndarray):
+        """Sweep the (B, n, n) stack a; returns views z, t into the plan's buffers."""
+        if a.shape != self.shape:
+            raise ValueError(f"stack has shape {a.shape}, the plan's is {self.shape}")
+        rows, zflat, zrow = self._rows, self._zflat, self._zrow
+        if self._ran:  # a new plan is in this state already
+            self._lower[...] = 0.0
+            self._work[1:] = 0.0
+        self._ran = True
+        self._a[...] = a
+        self._perm[...] = self._start
+        steps = self._views() if self._steps is None else self._steps
+        for (rowoff, perm, hj, alpha), update, column, swap in steps:
+            col = zflat[rowoff + perm]
+            if update is None:  # no row has moved and no product is formed: h[0] = t_11 = a_11
+                hj[...] = alpha[...] = col[0]
+            else:
+                lrow, lcur, tv, lv, p, p0, p1, p2, p0j, hmt, ldot, hdot, dot, dotv = update
+                lrow[...] = lcur
+                np.multiply(tv, lv, out=p)
+                # h_i = (alpha_i l_i + beta_{i-1} l_{i-1}) + beta_i l_{i+1}, i < j
+                hmt[...] = np.add(np.add(p1, p0, out=p1), p2, out=p1)
+                np.matmul(ldot, hdot, out=dot)
+                np.subtract(col[0], dotv, out=hj)
+                np.subtract(hj, p0j, out=alpha)
+            if column is None:  # the last step has no working column
+                break
+
+            lgemv, hgemv, gemv, gemvt, piv, diag = column
+            v = col[1:]
+            np.matmul(lgemv, hgemv, out=gemv)
+            np.subtract(v, gemvt, out=v)
+            if swap is None:  # one row is left: it is its own pivot, and needs no swap
+                piv[...] = v[0]
+            else:
+                lcol, pair, rpair, row0, row1 = swap
+                r = _pivot_offset(v, axis=0)
+                piv[...] = v[r, rows]
+                # a zero pivot (zero working column) leaves zero multipliers; the
+                # clip removes the one-ulp excess over 1 division roundoff can add
+                q = np.divide(v, piv, out=np.zeros(v.shape), where=piv != 0.0)
+                lcol[...] = np.minimum(np.maximum(q, -1.0, out=q), 1.0, out=q)
+                np.add(row0, r, out=row1)
+                zrow[pair] = zrow[rpair]
+            diag[...] = 1.0
+        return self._z, self._t
 
 
 def factorize(a: SymmetricMatrix) -> AasenFactors:
-    """Aasen factorization with partial pivoting: _sweep() on a stack of one.
+    """Aasen factorization with partial pivoting: a one-shot sweep plan run on a stack of one.
 
     A zero working column yields zero multipliers, not a failure; the
     factorization exists for every (finite) SymmetricMatrix.  Raises
@@ -194,7 +264,7 @@ def factorize(a: SymmetricMatrix) -> AasenFactors:
     n = a.n
     # overflow near the top of the double range is reported once, below
     with np.errstate(over="ignore", invalid="ignore"):
-        z, t = _sweep(a.entries[None])
+        z, t = _SweepPlan(n, 1).run(a.entries[None])
     lower = z[0, :, :n]
     if not (np.isfinite(t).all() and np.isfinite(lower).all()):
         raise OverflowError("factorization overflows the double range (non-finite factor entry)")
@@ -206,15 +276,18 @@ def factorize(a: SymmetricMatrix) -> AasenFactors:
     )
 
 
-def _stacked_growth(a: np.ndarray) -> np.ndarray:
+def _stacked_growth(a: np.ndarray, plan: _SweepPlan | None = None) -> np.ndarray:
     """Growth factors of a (B, n, n) stack of finite symmetric matrices.
 
-    Runs _sweep() on all B items at once and keeps only T, so each value
+    Sweeps all B items at once, through plan if given (a _SweepPlan for the
+    stack's shape) or else a one-shot plan, and keeps only T, so each value
     equals growth_factor(A, factorize(A)) bit for bit.  The zero matrix
     scores 0, as in search.evaluate_candidate().
     """
-    b = a.shape[0]
-    t = np.maximum.reduce(np.abs(_sweep(a)[1]), axis=1)
+    b, n, _ = a.shape
+    if plan is None:
+        plan = _SweepPlan(n, b)
+    t = np.maximum.reduce(np.abs(plan.run(a)[1]), axis=1)
     m = np.maximum.reduce(np.abs(a.reshape(b, -1)), axis=1)
     return np.divide(t, m, out=np.zeros(b), where=m != 0.0)
 

@@ -223,7 +223,9 @@ def parse_matrix(text: str) -> SymmetricMatrix:
 
 def read_matrix(path: str) -> SymmetricMatrix:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        # a leading byte-order mark is dropped after decoding, so a decode
+        # error gives its byte's offset in the file
+        text = Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
     except (OSError, UnicodeDecodeError) as e:
         raise MatrixFileError(f"cannot read {path}: {e}") from None
     return parse_matrix(text)

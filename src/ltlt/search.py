@@ -9,6 +9,13 @@ one, so every value is the one evaluate_candidate() gives.  The first round
 also scores the starts: its stack holds each start as the probe that stays
 put, so no kernel call scores them on their own.  The outcome is the argmax
 over restarts, ties going to the lowest restart index.
+
+A stack runs through a sweep plan of its size (aasen._SweepPlan: the
+sweep's buffers and per-step views, built once), and a lockstep group keeps
+the plans its last round ran: most rounds stack as many probes as the one
+before, so they build none.  A round runs at most two plans, one for its
+full slices and one for the last, and a group's plans end with its call,
+so searches in different threads share nothing.
 """
 from __future__ import annotations
 
@@ -18,7 +25,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .aasen import _stacked_growth, factorize
+from .aasen import _stacked_growth, _SweepPlan, factorize
 from .growth import growth_factor
 from .matcore import SymmetricMatrix, max_abs
 
@@ -83,16 +90,22 @@ def _triangle(n: int):
     return iu, sym.reshape(-1)
 
 
-def _score(x, owner, at, cand, n: int) -> np.ndarray:
-    """Growth of each probe: row owner[k] of x with entry at[k] set to cand[k]."""
+def _score(x, owner, at, cand, n: int, plans: dict) -> Tuple[np.ndarray, dict]:
+    """Growth of each probe: row owner[k] of x with entry at[k] set to cand[k].
+
+    Returns the values and this round's sweep plans by stack size.  plans
+    holds the previous round's: a stack whose size it has reuses that plan,
+    and a plan whose size this round does not use is dropped."""
     size = max(1, STACK_BUDGET // (n * n))
     sym = _triangle(n)[1]
-    vals = np.empty(owner.shape[0])
+    vals, used = np.empty(owner.shape[0]), {}
     for s in range(0, owner.shape[0], size):
         probes = x[owner[s : s + size]]
-        probes[np.arange(probes.shape[0]), at[s : s + size]] = cand[s : s + size]
-        vals[s : s + size] = _stacked_growth(probes[:, sym].reshape(-1, n, n))
-    return vals
+        b = probes.shape[0]
+        probes[np.arange(b), at[s : s + size]] = cand[s : s + size]
+        plan = used[b] = used.get(b) or plans.get(b) or _SweepPlan(n, b, reuse=True)
+        vals[s : s + size] = _stacked_growth(probes[:, sym].reshape(b, n, n), plan)
+    return vals, used
 
 
 def _search_group(x: np.ndarray, max_iters: int, n: int) -> Tuple[np.ndarray, int]:
@@ -110,6 +123,7 @@ def _search_group(x: np.ndarray, max_iters: int, n: int) -> Tuple[np.ndarray, in
     coord = np.arange(-1, 2 * d) // 2
     sign = np.array([-0.0] + [1.0, -1.0] * d)
     vals = np.empty((g, 2 * d + 1))
+    plans = {}  # this call's sweep plans, by stack size
 
     for it in range(max_iters):
         xx = x[:, coord]
@@ -125,7 +139,7 @@ def _search_group(x: np.ndarray, max_iters: int, n: int) -> Tuple[np.ndarray, in
             break
         vals.fill(-np.inf)
         vals[:, 0] = best
-        vals[keep] = _score(x, owner, coord[pos], cand[keep], n)
+        vals[keep], plans = _score(x, owner, coord[pos], cand[keep], n, plans)
         evals += owner.size
         # the first maximum wins, so a probe that only ties stays put
         i = vals.argmax(axis=1)

@@ -7,7 +7,7 @@ lp_simplex is the float two-phase simplex that once solved the slack LP; it
 checks the exact closed-form optimum of lpcert.solve_lp up to n = 20.
 The Aasen oracle factorize_scalar is the column sweep on one matrix, swapping
 rows of a working copy; it is independent of the stacked indexing of
-aasen._sweep and shares only the pivot test, aasen._pivot_offset.
+aasen._SweepPlan and shares only the pivot test, aasen._pivot_offset.
 maximize_growth_scalar runs the restarts one after another through
 pattern_search_scalar, which scores each probe on its own through factorize;
 it shares only the step constants of ltlt.search and the sweep itself.

@@ -1,11 +1,13 @@
 """The one Aasen sweep and the batched search against their references.
 
-factorize() and the stacked growth kernel both run aasen._sweep; both are
-compared with the scalar oracle factorize_scalar, which swaps rows of one
-working matrix instead of indexing a stack.  The batched search is compared
-with maximize_growth_scalar, which runs the restarts one after another and
-scores each probe on its own.  All comparisons are bitwise: the same
-floating-point operations run per item, so no tolerance applies.
+factorize() and the stacked growth kernel both run the sweep of an
+aasen._SweepPlan, a new one or, as the search does, one reused from stack to
+stack; both are compared with the scalar oracle factorize_scalar, which
+swaps rows of one working matrix instead of indexing a stack.  The batched
+search is compared with maximize_growth_scalar, which runs the restarts one
+after another and scores each probe on its own.  All comparisons are
+bitwise: the same floating-point operations run per item, so no tolerance
+applies.
 """
 import os
 import subprocess
@@ -17,7 +19,8 @@ import pytest
 
 from _helpers import factorize_scalar, maximize_growth_scalar
 from ltlt import search
-from ltlt.aasen import AasenFactors, _stacked_growth, factorize
+from ltlt.aasen import AasenFactors, _stacked_growth, _SweepPlan, factorize
+from ltlt.cli import read_matrix
 from ltlt.extremal import extremal_matrix
 from ltlt.growth import growth_factor
 from ltlt.matcore import (
@@ -114,6 +117,49 @@ def test_kernel_matches_factorize_extremal(n, deltas):
     _assert_matches_reference([extremal_matrix(n, d).A.entries for d in deltas])
 
 
+def _fixture(n):
+    """The n = 6 extremal matrix at delta = 2/5, with exact ties in every
+    pivot column, or the n = 9 file whose |t_nn| passes the LP's bound."""
+    if n == 6:
+        return extremal_matrix(6, 0.4).A.entries
+    return read_matrix(str(Path(__file__).parent / "data" / "tnn_n9.txt")).entries
+
+
+@pytest.mark.parametrize("n", [6, 9])
+def test_reused_plan_matches_a_new_plan_and_the_oracle(n):
+    # one plan runs stacks in turn that leave different state behind: a run
+    # that missed a reset of z or of the block work would differ from a new
+    # plan's run (in the upper part of z, the block work or the factors)
+    rng = np.random.default_rng([54, n])
+    rand = [_sym(m) for m in rng.uniform(-1.0, 1.0, (9, n, n))]
+    quarter = [np.round(4.0 * m) / 4.0 for m in rand[:2]]
+    zero, fixture = np.zeros((n, n)), _fixture(n)
+    stacks = [
+        rand[0:3],
+        [zero, zero, zero],
+        [fixture, quarter[0], rand[3]],
+        [np.full((n, n), -0.0), rand[4], zero],
+        [rand[5], fixture, quarter[1]],
+        rand[6:9],
+    ]
+    plan = _SweepPlan(n, 3, reuse=True)
+    for stack in map(np.array, stacks):
+        fresh = _SweepPlan(n, 3)
+        want_z, want_t = fresh.run(stack)
+        z, t = plan.run(stack)
+        assert z.tobytes() == want_z.tobytes() and t.tobytes() == want_t.tobytes()
+        assert plan._work.tobytes() == fresh._work.tobytes()
+        item = z.strides[0] // 8  # doubles per item
+        for i, m in enumerate(stack):
+            perm = z[i].view(np.intp)[:, 2 * n] - i * item - n
+            got = (perm, np.tril(z[i, :, :n], -1), t[i, ::2], t[i, 1::2])
+            for g, e in zip(got, factorize_scalar(m)):
+                assert g.dtype == e.dtype and g.tobytes() == e.tobytes()
+        assert _stacked_growth(stack, plan).tobytes() == _stacked_growth(stack).tobytes()
+    with pytest.raises(ValueError, match=r"stack has shape \(2, "):
+        plan.run(np.zeros((2, n, n)))
+
+
 def _assert_same_outcome(got, want):
     assert got.best_growth == want.best_growth
     assert got.evaluations == want.evaluations
@@ -168,14 +214,16 @@ def test_search_stacks_stay_within_budget(monkeypatch):
     n, budget = 4, 48
     cfg = SearchConfig(n=n, restarts=5, seed=11, max_iters=30)
     want = maximize_growth_scalar(cfg)
-    sizes, groups = [], []
+    sizes, plans, groups, starts = [], [], [], []
 
-    def kernel(a):
+    def kernel(a, plan):
         sizes.append(a.shape[0])
-        return _stacked_growth(a)
+        plans.append(plan)
+        return _stacked_growth(a, plan)
 
     def group(x, *args):
         groups.append(x.shape[0])
+        starts.append(len(sizes))
         return search_group(x, *args)
 
     search_group = search._search_group
@@ -186,3 +234,12 @@ def test_search_stacks_stay_within_budget(monkeypatch):
     assert groups == [2, 2, 1]
     assert max(sizes) * n * n <= budget
     assert len(sizes) > 3 * cfg.max_iters
+    # each stack runs on a plan of its size.  Within a lockstep group, a
+    # stack of the size of the one before it, in the same round or the last
+    # of the round before, reuses that plan; a group builds its own plans
+    assert all(p.shape == (b, n, n) for p, b in zip(plans, sizes))
+    for i in range(1, len(plans)):
+        if i in starts:
+            assert all(plans[i] is not p for p in plans[:i])
+        else:
+            assert (plans[i] is plans[i - 1]) == (sizes[i] == sizes[i - 1])

@@ -343,6 +343,23 @@ def test_missing_file(capsys):
     assert "cannot read" in err
 
 
+def test_utf8_file_with_byte_order_mark(tmp_path, capsys):
+    # some editors save UTF-8 with a byte-order mark; it is not part of the header
+    path = tmp_path / "bom.txt"
+    path.write_bytes(b"\xef\xbb\xbfsymmetric 2\n1 0\n0 1\n")
+    assert cli.read_matrix(str(path)).entries.tobytes() == np.eye(2).tobytes()
+    rep = report_of(capsys, "factor", str(path))
+    assert rep["outputs"]["permutation"] == [0, 1]
+    assert rep["outputs"]["t_diag"] == [1.0, 1.0]
+    # after the mark, a byte that is not UTF-8 is the usual decode error,
+    # with the byte's offset in the file
+    path.write_bytes(b"\xef\xbb\xbfsymmetric 1\n\xff\n")
+    with pytest.raises(MatrixFileError) as e:
+        cli.read_matrix(str(path))
+    message = f"cannot read {path}: 'utf-8' codec can't decode byte 0xff in position 15"
+    assert str(e.value).startswith(message)
+
+
 def test_non_utf8_file(tmp_path, capsys):
     path = tmp_path / "latin1.txt"
     path.write_bytes(b"symmetric 1\n\xff\n")

@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -113,8 +116,8 @@ def test_config_rejects_max_iters_below_one(max_iters):
 def _record_kernel_calls(monkeypatch):
     calls = []  # (stack, values) per kernel call
 
-    def kernel(a):
-        vals = kernel_orig(a)
+    def kernel(a, plan):
+        vals = kernel_orig(a, plan)
         calls.append((a.copy(), vals.copy()))
         return vals
 
@@ -140,3 +143,53 @@ def test_first_stack_scores_the_start(monkeypatch):
     assert stack[0].tobytes() == warm.entries.tobytes()
     assert vals[0].tobytes() == np.float64(evaluate_candidate(warm)).tobytes()
     assert out.evaluations == stack.shape[0]
+
+
+def test_one_plan_per_stack_size(monkeypatch):
+    # the stacks of this search shrink from 43 to 37 probes, some sizes
+    # recurring in the rounds after; each size gets one plan
+    calls, plans = _record_kernel_calls(monkeypatch), []
+
+    class Plan(search._SweepPlan):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            plans.append(self)
+
+    monkeypatch.setattr(search, "_SweepPlan", Plan)
+    maximize_growth(SearchConfig(n=6, restarts=1, max_iters=12))
+    sizes = [stack.shape[0] for stack, _ in calls]
+    assert len(sizes) == 12 and len(set(sizes)) < len(sizes)
+    assert sorted(p.shape for p in plans) == sorted({(b, 6, 6) for b in sizes})
+
+
+def test_concurrent_searches_match_sequential_runs():
+    # each search builds its own sweep plans: two searches whose rounds stack
+    # 40 probes for most of their length, running at once in two threads,
+    # must not share buffers
+    cfgs = [SearchConfig(n=4, restarts=2, seed=s, max_iters=60) for s in (1, 3)]
+    want = [maximize_growth(cfg) for cfg in cfgs]
+    got = [[], []]
+    start = threading.Barrier(2)
+
+    def run(k):
+        start.wait()
+        for _ in range(5):
+            got[k].append(maximize_growth(cfgs[k]))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
+    try:
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+    finally:
+        sys.setswitchinterval(interval)
+    for runs, w in zip(got, want):
+        assert len(runs) == 5
+        for g in runs:
+            assert g.best_growth == w.best_growth
+            assert g.evaluations == w.evaluations
+            assert g.per_restart_best == w.per_restart_best
+            assert g.best_matrix.entries.tobytes() == w.best_matrix.entries.tobytes()
