@@ -5,12 +5,9 @@ and P is chosen by partial pivoting so that every multiplier satisfies
 |l_ij| <= 1.  There is one column sweep over a stack of matrices, split into
 a plan and a run: a _SweepPlan holds the sweep's buffers for one (B, n)
 stack shape, and its run() resets them and sweeps a stack.  factorize()
-runs a one-shot plan on a stack of one; the search scores a whole stack of
-candidates through _stacked_growth(), keeping a plan while its rounds keep
-a stack size.  The sweep keeps its elementwise state item-last, as (k, B)
-blocks, and hands numpy's stacked matmul item-major operands whose item
-stride is a multiple of 8 doubles, so every item of a stack, in every run
-of a plan, gets the bits factorize() gives it alone.
+runs a one-shot plan on a stack of one; search owns the stacked growth
+factor.  Every item of a stack, in every run of a plan, gets the bits
+factorize() gives it alone.
 """
 from __future__ import annotations
 
@@ -54,16 +51,16 @@ class AasenFactors:
         return self.T.n
 
 
-def _pivot_offset(v: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Pivot offset (0 == current row) in a column v, or along an axis of a stack v.
+def _pivot_offset(v: np.ndarray) -> np.ndarray:
+    """Pivot offset (0 == current row) along axis 0 of v: a column, or (k, B) columns.
 
     The first entry within PIVOT_TIE_REL of the largest magnitude: a tie keeps
     the current row, and a zero column (where every entry ties) pivots on row 0.
     """
     av = np.abs(v)
-    big = np.maximum.reduce(av, axis=axis, keepdims=True)
+    big = np.maximum.reduce(av, axis=0, keepdims=True)
     big *= 1.0 - PIVOT_TIE_REL
-    return (av >= big).argmax(axis=axis)
+    return (av >= big).argmax(axis=0)
 
 
 @lru_cache(maxsize=None)
@@ -242,7 +239,7 @@ class _SweepPlan:
                 piv[...] = v[0]
             else:
                 lcol, pair, rpair, row0, row1 = swap
-                r = _pivot_offset(v, axis=0)
+                r = _pivot_offset(v)
                 piv[...] = v[r, rows]
                 # a zero pivot (zero working column) leaves zero multipliers; the
                 # clip removes the one-ulp excess over 1 division roundoff can add
@@ -276,20 +273,14 @@ def factorize(a: SymmetricMatrix) -> AasenFactors:
     )
 
 
-def _stacked_growth(a: np.ndarray, plan: _SweepPlan | None = None) -> np.ndarray:
-    """Growth factors of a (B, n, n) stack of finite symmetric matrices.
-
-    Sweeps all B items at once, through plan if given (a _SweepPlan for the
-    stack's shape) or else a one-shot plan, and keeps only T, so each value
-    equals growth_factor(A, factorize(A)) bit for bit.  The zero matrix
-    scores 0, as in search.evaluate_candidate().
-    """
-    b, n, _ = a.shape
-    if plan is None:
-        plan = _SweepPlan(n, b)
-    t = np.maximum.reduce(np.abs(plan.run(a)[1]), axis=1)
-    m = np.maximum.reduce(np.abs(a.reshape(b, -1)), axis=1)
-    return np.divide(t, m, out=np.zeros(b), where=m != 0.0)
+def _check_rhs(y, n: int) -> np.ndarray:
+    """y as a float array, after the checks both solves make: length n, finite entries."""
+    y = np.asarray(y, dtype=float)
+    if y.shape != (n,):
+        raise ValueError(f"right-hand side has length {y.shape}, expected ({n},)")
+    if not np.isfinite(y).all():
+        raise ValueError(f"right-hand side entries must be finite, got {y[~np.isfinite(y)][0]}")
+    return y
 
 
 def tridiag_solve(tri: SymmetricTridiagonal, y) -> np.ndarray:
@@ -297,12 +288,11 @@ def tridiag_solve(tri: SymmetricTridiagonal, y) -> np.ndarray:
 
     Pivoting fills at most one extra superdiagonal beyond the original band.
     Raises SingularMatrixError (with the pivot index) on an exactly zero
-    pivot, a scale-free test, and OverflowError on a non-finite solution.
+    pivot, a scale-free test, ValueError on a non-finite y, and
+    OverflowError on a non-finite solution.
     """
-    y = np.asarray(y, dtype=float)
     n = tri.n
-    if y.shape != (n,):
-        raise ValueError(f"right-hand side has length {y.shape}, expected ({n},)")
+    y = _check_rhs(y, n)
 
     sub = np.zeros(n)  # sub[k]  = row k+1 entry in column k
     d = tri.diag.copy()
@@ -348,10 +338,8 @@ def solve(f: AasenFactors, b) -> np.ndarray:
     Pipeline: permute, forward-substitute L, tridiagonal solve, back-substitute
     L^T, inverse permute.
     """
-    b = np.asarray(b, dtype=float)
     n = f.n
-    if b.shape != (n,):
-        raise ValueError(f"right-hand side has length {b.shape}, expected ({n},)")
+    b = _check_rhs(b, n)
     ls = f.L.strict
     p = f.p.p
 

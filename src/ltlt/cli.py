@@ -39,7 +39,8 @@ EXIT_USAGE = 1
 EXIT_DOMAIN = 2
 EXIT_INTERNAL = 3
 
-# Asymmetry allowed in an input file before it is rejected.
+# Asymmetry allowed in an input file before it is rejected, relative to its
+# largest entry magnitude.
 SYMMETRY_TOL = 1e-12
 
 
@@ -213,10 +214,13 @@ def parse_matrix(text: str) -> SymmetricMatrix:
         if lines[extra].split():
             raise MatrixFileError(f"line {extra + 1}: unexpected content after matrix")
 
+    import numpy as np
+
     from .matcore import SymmetricMatrix
 
+    a = np.array(entries)
     try:
-        return SymmetricMatrix.from_full(entries, tol=SYMMETRY_TOL)
+        return SymmetricMatrix.from_full(a, tol=SYMMETRY_TOL * np.max(np.abs(a)))
     except ValueError as e:
         raise MatrixFileError(str(e)) from None
 

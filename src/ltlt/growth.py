@@ -86,8 +86,14 @@ class BoundTable:
     not_tight: bool
 
 
+def _check_dims(a: SymmetricMatrix, f: AasenFactors):
+    if f.n != a.n:
+        raise ValueError(f"dimension mismatch: A is {a.n}, its factors are {f.n}")
+
+
 def growth_factor(a: SymmetricMatrix, f: AasenFactors) -> float:
     """max |t_ij| / max |a_ij| over the final tridiagonal factor."""
+    _check_dims(a, f)
     m = max_abs(a)
     if m == 0.0:
         raise UndefinedGrowthError("growth factor is undefined for the zero matrix")
@@ -109,6 +115,7 @@ def growth_certificate(a: SymmetricMatrix, f: AasenFactors) -> GrowthCertificate
     For n < 3 only the first group applies.  Raises OverflowError for
     n > MAX_N, where the bounds are not representable.
     """
+    _check_dims(a, f)
     m = max_abs(a)
     if m == 0.0:
         raise UndefinedGrowthError("certificate is undefined for the zero matrix")

@@ -178,8 +178,8 @@ def permute_sym(a: SymmetricMatrix, perm: PermutationVector) -> SymmetricMatrix:
 def assemble(lower: UnitLowerTriangular, tri: SymmetricTridiagonal) -> SymmetricMatrix:
     """Full product L T L^T, symmetrized as (M + M^T)/2 to kill roundoff skew.
 
-    Raises OverflowError when the product or its symmetrization leaves the
-    double range.
+    Where M + M^T overflows, the symmetrization is M/2 + M^T/2 instead.
+    Raises OverflowError when the product itself leaves the double range.
     """
     if lower.n != tri.n:
         raise ValueError(f"dimension mismatch: L is {lower.n}, T is {tri.n}")
@@ -187,10 +187,12 @@ def assemble(lower: UnitLowerTriangular, tri: SymmetricTridiagonal) -> Symmetric
     # overflow near the top of the double range is reported once, below
     with np.errstate(over="ignore", invalid="ignore"):
         m = lf @ tri.full() @ lf.T
-        m = (m + m.T) / 2.0
-    if not np.isfinite(m).all():
-        raise OverflowError("L T L^T overflows the double range (non-finite product entry)")
-    return SymmetricMatrix(m)
+        sym = (m + m.T) / 2.0
+        if not np.isfinite(sym).all():
+            sym = m / 2.0 + m.T / 2.0
+            if not np.isfinite(sym).all():
+                raise OverflowError("L T L^T overflows the double range (non-finite product entry)")
+    return SymmetricMatrix(sym)
 
 
 def residual(

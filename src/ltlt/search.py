@@ -10,12 +10,13 @@ also scores the starts: its stack holds each start as the probe that stays
 put, so no kernel call scores them on their own.  The outcome is the argmax
 over restarts, ties going to the lowest restart index.
 
-A stack runs through a sweep plan of its size (aasen._SweepPlan: the
-sweep's buffers and per-step views, built once), and a lockstep group keeps
-the plans its last round ran: most rounds stack as many probes as the one
-before, so they build none.  A round runs at most two plans, one for its
-full slices and one for the last, and a group's plans end with its call,
-so searches in different threads share nothing.
+This module's _stacked_growth() runs a stack through a sweep plan of its
+size (aasen._SweepPlan: the sweep's buffers and per-step views, built
+once), and a lockstep group keeps the plans its last round ran: most rounds
+stack as many probes as the one before, so they build none.  A round runs
+at most two plans, one for its full slices and one for the last, and a
+group's plans end with its call, so searches in different threads share
+nothing.
 """
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .aasen import _stacked_growth, _SweepPlan, factorize
+from .aasen import _SweepPlan, factorize
 from .growth import growth_factor
 from .matcore import SymmetricMatrix, max_abs
 
@@ -76,6 +77,16 @@ def evaluate_candidate(m: SymmetricMatrix) -> float:
     if max_abs(m) == 0.0:
         return 0.0
     return growth_factor(m, factorize(m))
+
+
+def _stacked_growth(a: np.ndarray, plan: _SweepPlan) -> np.ndarray:
+    """Growth factors of a (B, n, n) stack of finite symmetric matrices, swept
+    through plan, a _SweepPlan of its shape: each is evaluate_candidate()'s
+    value, bit for bit, so the zero matrix scores 0."""
+    b = a.shape[0]
+    t = np.maximum.reduce(np.abs(plan.run(a)[1]), axis=1)
+    m = np.maximum.reduce(np.abs(a.reshape(b, -1)), axis=1)
+    return np.divide(t, m, out=np.zeros(b), where=m != 0.0)
 
 
 @lru_cache(maxsize=None)

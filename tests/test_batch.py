@@ -1,9 +1,10 @@
 """The one Aasen sweep and the batched search against their references.
 
-factorize() and the stacked growth kernel both run the sweep of an
-aasen._SweepPlan, a new one or, as the search does, one reused from stack to
-stack; both are compared with the scalar oracle factorize_scalar, which
-swaps rows of one working matrix instead of indexing a stack.  The batched
+factorize() and the search's stacked growth kernel, search._stacked_growth,
+both run the sweep of an aasen._SweepPlan, a new one or, as the search does,
+one reused from stack to stack; both are compared with the scalar oracle
+factorize_scalar, which swaps rows of one working matrix instead of indexing
+a stack.  The batched
 search is compared with maximize_growth_scalar, which runs the restarts one
 after another and scores each probe on its own.  All comparisons are
 bitwise: the same floating-point operations run per item, so no tolerance
@@ -19,7 +20,7 @@ import pytest
 
 from _helpers import factorize_scalar, maximize_growth_scalar
 from ltlt import search
-from ltlt.aasen import AasenFactors, _stacked_growth, _SweepPlan, factorize
+from ltlt.aasen import AasenFactors, _SweepPlan, factorize
 from ltlt.cli import read_matrix
 from ltlt.extremal import extremal_matrix
 from ltlt.growth import growth_factor
@@ -29,7 +30,7 @@ from ltlt.matcore import (
     SymmetricTridiagonal,
     UnitLowerTriangular,
 )
-from ltlt.search import SearchConfig, maximize_growth
+from ltlt.search import SearchConfig, _stacked_growth, maximize_growth
 
 
 def _sym(m):
@@ -52,7 +53,8 @@ def _assert_matches_reference(stack):
                          (f.T.diag, ref.T.diag), (f.T.offdiag, ref.T.offdiag)]:
             assert got.dtype == exp.dtype and got.tobytes() == exp.tobytes()
         want.append(growth_factor(a, ref) if np.any(m) else 0.0)
-    assert _stacked_growth(stack).tobytes() == np.array(want).tobytes()
+    plan = _SweepPlan(stack.shape[1], stack.shape[0])
+    assert _stacked_growth(stack, plan).tobytes() == np.array(want).tobytes()
 
 
 @pytest.mark.parametrize("n", [*range(1, 10), 50, 200])
@@ -155,7 +157,7 @@ def test_reused_plan_matches_a_new_plan_and_the_oracle(n):
             got = (perm, np.tril(z[i, :, :n], -1), t[i, ::2], t[i, 1::2])
             for g, e in zip(got, factorize_scalar(m)):
                 assert g.dtype == e.dtype and g.tobytes() == e.tobytes()
-        assert _stacked_growth(stack, plan).tobytes() == _stacked_growth(stack).tobytes()
+        assert _stacked_growth(stack, plan).tobytes() == _stacked_growth(stack, _SweepPlan(n, 3)).tobytes()
     with pytest.raises(ValueError, match=r"stack has shape \(2, "):
         plan.run(np.zeros((2, n, n)))
 

@@ -86,12 +86,21 @@ def test_parse_recovers_exact_values():
         ("symmetric 2\ninf abc\n0 1\n", "line 2, column 1: entries must be finite, got inf"),
         ("symmetric 2\n1 0\n0 1\nleftover\n", "unexpected content"),
         ("symmetric 2\n1 0.5\n0.4999 1\n", "asymmetric"),
+        # the symmetry tolerance is relative: this skew is twice the largest entry
+        ("symmetric 2\n1e-14 1e-13\n-1e-13 1e-14\n", "asymmetric by 2.000e-13 (tolerance 1.000e-25)"),
     ],
 )
 def test_parse_errors(text, fragment):
     with pytest.raises(MatrixFileError) as err:
         parse_matrix(text)
     assert fragment in str(err.value)
+
+
+def test_symmetry_tolerance_scales_with_the_largest_entry():
+    # a one-ulp skew at 1e20, 16384 in absolute terms; the lower triangle is kept
+    up = float(np.nextafter(1e20, np.inf))
+    a = parse_matrix(f"symmetric 2\n1 1e20\n{up!r} 1\n")
+    assert a.entries[0, 1] == a.entries[1, 0] == up
 
 
 def test_cmd_factor_identity(tmp_path, capsys):
@@ -240,8 +249,6 @@ def test_huge_header_is_parse_error(tmp_path, capsys):
         "1.5e308 1.5e308 1.5e308 1.5e308\n"
         "1.5e308 -1.5e308 1.5e308 1.5e308\n",
         "symmetric 3\n1e308 1e308 -1e308\n1e308 1e308 1e308\n-1e308 1e308 1e308\n",
-        # finite factors, but L T L^T overflows when it is assembled
-        "symmetric 2\n1.7e308 1.7e308\n1.7e308 -1.7e308\n",
     ],
 )
 def test_factor_overflow_is_domain_error(tmp_path, capsys, command, text):
@@ -252,6 +259,27 @@ def test_factor_overflow_is_domain_error(tmp_path, capsys, command, text):
     assert out == ""
     assert "overflow" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["factor", "certify"])
+@pytest.mark.parametrize(
+    "text",
+    [
+        # n = 2 leaves L = I and T = A: L T L^T is representable, though the
+        # sum M + M^T of its symmetrization overflows
+        "symmetric 2\n1.7e308 0\n0 -1.7e308\n",
+        "symmetric 2\n1e308 1e-308\n1e-308 1\n",
+        "symmetric 2\n1.7e308 1.7e308\n1.7e308 -1.7e308\n",
+    ],
+)
+def test_factor_near_the_top_of_the_double_range(tmp_path, capsys, command, text):
+    path = tmp_path / "big.txt"
+    path.write_text(text)
+    outputs = report_of(capsys, command, str(path))["outputs"]
+    assert outputs["residual"] == 0.0
+    assert outputs["growth"] == 1.0
+    if command == "certify":
+        assert outputs["certificate"]["all_pass"] is True
 
 
 def test_cmd_examples(tmp_path, capsys):

@@ -49,6 +49,13 @@ def test_growth_zero_matrix_rejected():
         growth_certificate(a, f)
 
 
+def test_growth_rejects_factors_of_another_dimension():
+    a, f = SymmetricMatrix(np.eye(3)), factorize(SymmetricMatrix(np.eye(2)))
+    for run in (growth_factor, growth_certificate):
+        with pytest.raises(ValueError, match="dimension mismatch: A is 3, its factors are 2"):
+            run(a, f)
+
+
 def test_certificate_identity_all_pass():
     a = SymmetricMatrix(np.eye(6))
     cert = growth_certificate(a, factorize(a))

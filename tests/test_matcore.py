@@ -109,6 +109,21 @@ def test_assemble_exactly_symmetric():
     assert np.array_equal(out.entries, out.entries.T)
 
 
+def test_assemble_near_the_top_of_the_double_range():
+    # L = I, so L T L^T is T; the sum M + M^T of the symmetrization overflows
+    tri = SymmetricTridiagonal([1.7e308, -1.7e308], [1.7e308])
+    assert np.array_equal(assemble(UnitLowerTriangular.identity(2), tri).entries, tri.full())
+
+
+def test_assemble_overflow_is_an_error():
+    # entry (3, 3) of L T L^T is t_22 + t_33, past the double range
+    strict = np.zeros((3, 3))
+    strict[2, 1] = 1.0
+    tri = SymmetricTridiagonal(np.full(3, 1.7e308), np.zeros(2))
+    with pytest.raises(OverflowError, match=r"L T L\^T overflows"):
+        assemble(UnitLowerTriangular(strict), tri)
+
+
 def test_residual_trivial_2x2():
     a = SymmetricMatrix(np.array([[2.0, -1.0], [-1.0, 0.5]]))
     r = residual(
@@ -197,6 +212,15 @@ def test_unit_lower_invariants():
             "right-hand side has length",
         ),
         (lambda: solve(factorize(SymmetricMatrix(np.eye(2))), [1.0]), "right-hand side has length"),
+        # a NaN right-hand side used to read as "overflows the double range"
+        (lambda: tridiag_solve(SymmetricTridiagonal(np.ones(2), np.zeros(1)), [0.0, np.nan]),
+         "right-hand side entries must be finite, got nan"),
+        (lambda: tridiag_solve(SymmetricTridiagonal(np.ones(2), np.zeros(1)), [np.inf, 0.0]),
+         "right-hand side entries must be finite, got inf"),
+        (lambda: solve(factorize(SymmetricMatrix(np.eye(2))), [0.0, np.nan]),
+         "right-hand side entries must be finite, got nan"),
+        (lambda: solve(factorize(SymmetricMatrix(np.eye(2))), [np.inf, 0.0]),
+         "right-hand side entries must be finite, got inf"),
     ],
     ids=[
         "sym-non-square", "sym-empty", "sym-asymmetric", "from-full-non-square",
@@ -205,6 +229,7 @@ def test_unit_lower_invariants():
         "tridiag-0d-offdiag",
         "lower-non-square", "lower-diagonal", "lower-above-1", "lower-below-minus-1",
         "tridiag-lengths", "assemble-dims", "tridiag-solve-rhs", "solve-rhs",
+        "tridiag-solve-nan", "tridiag-solve-inf", "solve-nan", "solve-inf",
     ],
 )
 def test_constructors_and_solves_reject_bad_shapes_and_values(build, message):
