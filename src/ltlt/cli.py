@@ -282,7 +282,7 @@ def _write_report(
 def cmd_factor(args) -> int:
     a = read_matrix(args.input)
     from .aasen import factorize
-    from .growth import growth_factor
+    from .growth import UndefinedGrowthError, growth_factor
     from .matcore import residual
 
     f = factorize(a)
@@ -293,8 +293,10 @@ def cmd_factor(args) -> int:
         "t_offdiag": f.T.offdiag.tolist(),
         "residual": residual(a, f.p, f.L, f.T),
     }
-    if a.entries.any():
+    try:
         outputs["growth"] = growth_factor(a, f)
+    except UndefinedGrowthError:  # the zero matrix has no growth factor
+        pass
     return _write_report("factor", {"path": args.input, "n": a.n}, outputs, args.out)
 
 

@@ -3,20 +3,24 @@
 Coordinate pattern search on the d = n(n+1)/2 free entries of a symmetric
 matrix: probe +/- step along every coordinate, accept the best improving
 probe, halve the step when none improves.  The restarts run in lockstep: each
-round scores the probes of every restart still searching as one stack, within
-STACK_BUDGET doubles, with the Aasen sweep that factorize() runs on a stack of
-one, so every value is the one evaluate_candidate() gives.  The first round
-also scores the starts: its stack holds each start as the probe that stays
-put, so no kernel call scores them on their own.  The outcome is the argmax
-over restarts, ties going to the lowest restart index.
+round scores all 2d + 1 columns of every restart still searching, its point
+and its 2d probes, as one stack, within STACK_BUDGET doubles, with the Aasen
+sweep that factorize() runs on a stack of one, so every value is the one
+evaluate_candidate() gives.  A round's stack shape therefore depends only on
+how many restarts are live: the first round scores the starts as the points
+of column 0, and later rounds re-score the points, which gives their values
+back bit for bit, and score the probes that clipping leaves equal to them,
+which can only tie.  Evaluations count each start once and each probe that
+moved.  The outcome is the argmax over restarts, ties going to the lowest
+restart index.
 
 This module's _stacked_growth() runs a stack through a sweep plan of its
 size (aasen._SweepPlan: the sweep's buffers and per-step views, built
-once), and a lockstep group keeps the plans its last round ran: most rounds
-stack as many probes as the one before, so they build none.  A round runs
-at most two plans, one for its full slices and one for the last, and a
-group's plans end with its call, so searches in different threads share
-nothing.
+once), and a lockstep group keeps the plans its last round ran: a round
+stacks as many probes as the one before unless a restart has finished, so
+it builds none.  A one-restart search builds one plan.  A round runs at most
+two plans, one for its full slices and one for the last, and a group's plans
+end with its call, so searches in different threads share nothing.
 """
 from __future__ import annotations
 
@@ -101,62 +105,66 @@ def _triangle(n: int):
     return iu, sym.reshape(-1)
 
 
-def _score(x, owner, at, cand, n: int, plans: dict) -> Tuple[np.ndarray, dict]:
-    """Growth of each probe: row owner[k] of x with entry at[k] set to cand[k].
+def _score(x, coord, cand, n: int, plans: dict) -> Tuple[np.ndarray, dict]:
+    """Growth of every probe of the (L, d) points x, as an (L, w) array, w
+    being coord's length: probe (r, c) is x[r] with entry coord[c] set to
+    cand[r, c].
 
-    Returns the values and this round's sweep plans by stack size.  plans
-    holds the previous round's: a stack whose size it has reuses that plan,
-    and a plan whose size this round does not use is dropped."""
+    The probes are swept row by row in stacks of at most STACK_BUDGET
+    doubles, each built just before its sweep, so a round holds one stack's
+    probes at a time (all of them take w*d doubles a restart).  Returns the
+    values and this round's sweep plans by stack size.  plans holds the
+    previous round's: a stack whose size it has reuses that plan, and a plan
+    whose size this round does not use is dropped."""
     size = max(1, STACK_BUDGET // (n * n))
     sym = _triangle(n)[1]
-    vals, used = np.empty(owner.shape[0]), {}
-    for s in range(0, owner.shape[0], size):
+    owner, col = np.divmod(np.arange(cand.size), coord.shape[0])
+    at, flat = coord[col], cand.reshape(-1)
+    vals, used = np.empty(cand.size), {}
+    for s in range(0, cand.size, size):
         probes = x[owner[s : s + size]]
         b = probes.shape[0]
-        probes[np.arange(b), at[s : s + size]] = cand[s : s + size]
+        probes[np.arange(b), at[s : s + size]] = flat[s : s + size]
         plan = used[b] = used.get(b) or plans.get(b) or _SweepPlan(n, b, reuse=True)
         vals[s : s + size] = _stacked_growth(probes[:, sym].reshape(b, n, n), plan)
-    return vals, used
+    return vals.reshape(cand.shape), used
 
 
 def _search_group(x: np.ndarray, max_iters: int, n: int) -> Tuple[np.ndarray, int]:
     """Search from the (G, d) starts x in lockstep, leaving the best points in x.
 
-    Returns (best values, evaluations).  The first round scores the starts
-    too, as its column 0.  A restart takes its first probe (coordinates in
-    order, +step before -step) that attains its maximum, if that beats its
-    value.  max_iters must be at least 1."""
+    Returns (best values, evaluations).  Every round scores all 2d + 1
+    columns of each live restart (step >= MIN_STEP): column 0 is its point,
+    so the first round scores the starts, and the others its +/- step probes,
+    also those that clipping to [-1, 1] leaves equal to the point.  A
+    re-scored point gets the bits of its value, and a clipped probe is the
+    same matrix, so neither can beat it; evaluations count each start once
+    and each probe that moved.  A restart takes its first probe
+    (coordinates in order, +step before -step) that attains its maximum, if
+    that beats its value.  max_iters must be at least 1."""
     g, d = x.shape
-    rows = np.arange(g)
-    best, evals = np.full(g, -np.inf), 0  # -inf until round 1 scores the starts
-    step = np.full(g, INITIAL_STEP)
+    best, step = np.empty(g), np.full(g, INITIAL_STEP)  # round 1 scores every start
     # column 0 stays put (x + -0.0 is x, bit for bit); 2k+1, 2k+2 probe x[k] +/- step
     coord = np.arange(-1, 2 * d) // 2
     sign = np.array([-0.0] + [1.0, -1.0] * d)
-    vals = np.empty((g, 2 * d + 1))
-    plans = {}  # this call's sweep plans, by stack size
+    evals, plans = g, {}  # this call's sweep plans, by stack size
+    live = np.arange(g)
 
-    for it in range(max_iters):
-        xx = x[:, coord]
-        cand = np.minimum(np.maximum(xx + step[:, None] * sign, -1.0), 1.0)
-        # a finished restart keeps no probes, so it never improves again;
-        # column 0 equals xx, so only the first round, which scores the
-        # starts, keeps it
-        keep = (cand != xx) & (step >= MIN_STEP)[:, None]
-        if it == 0:
-            keep[:, 0] = True
-        owner, pos = keep.nonzero()
-        if not owner.size:
-            break
-        vals.fill(-np.inf)
-        vals[:, 0] = best
-        vals[keep], plans = _score(x, owner, coord[pos], cand[keep], n, plans)
-        evals += owner.size
+    for _ in range(max_iters):
+        xl = x[live]
+        xx = xl[:, coord]
+        cand = np.minimum(np.maximum(xx + step[live, None] * sign, -1.0), 1.0)
+        evals += int(np.count_nonzero(cand != xx))
+        vals, plans = _score(xl, coord, cand, n, plans)
         # the first maximum wins, so a probe that only ties stays put
         i = vals.argmax(axis=1)
-        best = vals[rows, i]
-        x[rows, coord[i]] = cand[rows, i]
-        np.multiply(step, SHRINK, out=step, where=i == 0)
+        rows = np.arange(live.shape[0])
+        best[live] = vals[rows, i]
+        x[live, coord[i]] = cand[rows, i]
+        step[live[i == 0]] *= SHRINK
+        live = live[step[live] >= MIN_STEP]
+        if not live.size:
+            break
     return best, evals
 
 

@@ -4,6 +4,7 @@ import pytest
 from _helpers import column_identity_residual, rand_sym
 from ltlt.aasen import (
     SingularMatrixError,
+    _SweepPlan,
     factorize,
     solve,
     tridiag_solve,
@@ -16,6 +17,7 @@ from ltlt.matcore import (
     permute_sym,
     residual,
 )
+from ltlt.search import _stacked_growth
 
 
 def test_factorize_n1():
@@ -91,6 +93,52 @@ def test_scale_equivariance():
         assert np.max(np.abs(fb.T.diag - c * fa.T.diag)) <= 1e-14 * scale
         if n > 1:
             assert np.max(np.abs(fb.T.offdiag - c * fa.T.offdiag)) <= 1e-14 * scale
+
+
+def _bits(x):
+    return np.asarray(x).tobytes()
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_factorize_bitwise_under_negation_and_power_of_two_scaling(n):
+    # -A and 2^(+/-40) A are exact, and so is every operation of the sweep
+    # on them: the pivot test compares magnitudes relative to the largest,
+    # and the multipliers are quotients of two scaled entries.  So P and L
+    # keep their bits, T is scaled exactly, and so is the stacked growth
+    rng = np.random.default_rng([18, n])
+    scales = (-1.0, 2.0**40, 2.0**-40)
+    for _ in range(20):
+        a = rand_sym(rng, n)
+        f = factorize(a)
+        for c in scales:
+            g = factorize(SymmetricMatrix(c * a.entries))
+            assert _bits(g.p.p) == _bits(f.p.p)
+            assert _bits(g.L.strict) == _bits(f.L.strict)
+            assert _bits(g.T.diag) == _bits(c * f.T.diag)
+            assert _bits(g.T.offdiag) == _bits(c * f.T.offdiag)
+        stack = np.array([c * a.entries for c in (1.0, *scales)])
+        rho = _stacked_growth(stack, _SweepPlan(n, stack.shape[0]))
+        assert _bits(rho) == _bits(np.full(stack.shape[0], rho[0]))
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_factorize_bitwise_under_diagonal_sign_similarity(n):
+    # D A D with D = diag(+/-1), d_1 = 1, has the magnitudes of A, so the same
+    # P; its factors are D' L D' and D' T D', D' being D in pivot order.
+    # D' L D' turns some zeros of L into -0.0, so L is compared with every
+    # zero made +0.0
+    rng = np.random.default_rng([19, n])
+    for _ in range(20):
+        a = rand_sym(rng, n)
+        d = rng.choice([-1.0, 1.0], n)
+        d[0] = 1.0
+        f = factorize(a)
+        g = factorize(SymmetricMatrix(d[:, None] * a.entries * d))
+        dp = d[f.p.p]
+        assert _bits(g.p.p) == _bits(f.p.p)
+        assert _bits(g.L.strict + 0.0) == _bits(dp[:, None] * f.L.strict * dp + 0.0)
+        assert _bits(g.T.diag) == _bits(f.T.diag)
+        assert _bits(g.T.offdiag) == _bits(dp[:-1] * dp[1:] * f.T.offdiag)
 
 
 def test_column_identities():

@@ -102,8 +102,9 @@ def test_kernel_matches_factorize_n500(quantized):
 
 
 def test_kernel_matches_factorize_large_stack():
-    # B = 1280 at n = 4 is one round's stack of `ltlt search --n 4 --restarts 64`
-    # (64 restarts x 20 probes); half the items are quarter-quantized
+    # B = 1280 at n = 4 is near one round's stack of `ltlt search --n 4
+    # --restarts 64` (64 restarts x 21 matrices, 1344); half the items are
+    # quarter-quantized
     rng = np.random.default_rng(53)
     stack = rng.uniform(-1.0, 1.0, (1280, 4, 4))
     stack[::2] = np.round(4.0 * stack[::2]) / 4.0

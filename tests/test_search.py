@@ -4,7 +4,7 @@ import threading
 import numpy as np
 import pytest
 
-from _helpers import rand_sym
+from _helpers import maximize_growth_scalar, rand_sym
 from ltlt import search
 from ltlt.extremal import extremal_matrix
 from ltlt.matcore import SymmetricMatrix, max_abs
@@ -136,18 +136,52 @@ def test_one_kernel_call_per_round(monkeypatch, max_iters):
 
 
 def test_first_stack_scores_the_start(monkeypatch):
+    # the stack holds the start and all 2d probes, also those that clipping
+    # leaves equal to it; evaluations count the start once and only the
+    # probes that moved
     warm = extremal_matrix(5, 0.01).A
+    cfg = SearchConfig(n=5, restarts=1, max_iters=1, warm_starts=(warm,))
     calls = _record_kernel_calls(monkeypatch)
-    out = maximize_growth(SearchConfig(n=5, restarts=1, max_iters=1, warm_starts=(warm,)))
+    out = maximize_growth(cfg)
     (stack, vals), = calls
+    assert stack.shape == (2 * 15 + 1, 5, 5)
     assert stack[0].tobytes() == warm.entries.tobytes()
     assert vals[0].tobytes() == np.float64(evaluate_candidate(warm)).tobytes()
-    assert out.evaluations == stack.shape[0]
+    assert out.evaluations == maximize_growth_scalar(cfg).evaluations
+
+
+def test_clipped_probes_are_scored_but_not_counted(monkeypatch):
+    # ten of the 15 entries of this start are +/-1, so each round has probes
+    # that clipping leaves equal to the point: they are swept, tie
+    # with column 0 bit for bit, and the outcome is the scalar oracle's.
+    # Column 0 re-scores the point each round, with the bits of the best
+    # value of the round before
+    warm = extremal_matrix(5, 0.01).A
+    cfg = SearchConfig(n=5, restarts=1, max_iters=8, warm_starts=(warm,))
+    calls = _record_kernel_calls(monkeypatch)
+    out = maximize_growth(cfg)
+    want = maximize_growth_scalar(cfg)
+    assert out.best_growth == want.best_growth
+    assert out.evaluations == want.evaluations
+    assert out.per_restart_best == want.per_restart_best
+    assert out.best_matrix.entries.tobytes() == want.best_matrix.entries.tobytes()
+    assert len(calls) == cfg.max_iters
+    clipped = 0
+    for r, (stack, vals) in enumerate(calls):
+        assert stack.shape[0] == 2 * 15 + 1
+        if r:
+            assert vals[0].tobytes() == calls[r - 1][1].max().tobytes()
+        same = [k for k in range(1, stack.shape[0]) if stack[k].tobytes() == stack[0].tobytes()]
+        assert vals[same].tobytes() == np.full(len(same), vals[0]).tobytes()
+        clipped += len(same)
+    assert clipped > 0
+    assert out.evaluations == 1 + sum(s.shape[0] - 1 for s, _ in calls) - clipped
 
 
 def test_one_plan_per_stack_size(monkeypatch):
-    # the stacks of this search shrink from 43 to 37 probes, some sizes
-    # recurring in the rounds after; each size gets one plan
+    # a lockstep group builds one plan per stack size, and the size changes
+    # only when a restart finishes: this one-restart search stacks its
+    # point and all 42 probes in each of its 12 rounds, through one plan
     calls, plans = _record_kernel_calls(monkeypatch), []
 
     class Plan(search._SweepPlan):
@@ -157,14 +191,13 @@ def test_one_plan_per_stack_size(monkeypatch):
 
     monkeypatch.setattr(search, "_SweepPlan", Plan)
     maximize_growth(SearchConfig(n=6, restarts=1, max_iters=12))
-    sizes = [stack.shape[0] for stack, _ in calls]
-    assert len(sizes) == 12 and len(set(sizes)) < len(sizes)
-    assert sorted(p.shape for p in plans) == sorted({(b, 6, 6) for b in sizes})
+    assert [stack.shape[0] for stack, _ in calls] == [43] * 12
+    assert [p.shape for p in plans] == [(43, 6, 6)]
 
 
 def test_concurrent_searches_match_sequential_runs():
     # each search builds its own sweep plans: two searches whose rounds stack
-    # 40 probes for most of their length, running at once in two threads,
+    # 42 matrices while both restarts search, running at once in two threads,
     # must not share buffers
     cfgs = [SearchConfig(n=4, restarts=2, seed=s, max_iters=60) for s in (1, 3)]
     want = [maximize_growth(cfg) for cfg in cfgs]
