@@ -345,16 +345,16 @@ def cmd_examples(args) -> int:
     ex = extremal_matrix(args.n, args.delta)
     report = verify_example(ex)
     out_dir = Path(args.out or ".")
-    matrix_path = out_dir / f"extremal_n{args.n}_delta{args.delta:g}.txt"
+    matrix_path = out_dir / f"extremal_n{args.n}_delta{args.delta!r}.txt"
     _write_text(matrix_path, emit_matrix(ex.A), parents=True)
     both_pass = report.reference_certificate.all_pass and report.recomputed_certificate.all_pass
     outputs = {
         "example": {
             "expected_growth": ex.expected_growth,
             "reference_residual": report.reference_residual,
-            "reference_growth": report.reference_growth,
+            "reference_growth": report.reference_certificate.rho,
             "recomputed_residual": report.recomputed_residual,
-            "recomputed_growth": report.recomputed_growth,
+            "recomputed_growth": report.recomputed_certificate.rho,
             "certificates_pass": both_pass,
             "matrix_file": str(matrix_path),
         }

@@ -39,12 +39,9 @@ class DeltaWindowError(DomainError):
 
 @dataclass(frozen=True)
 class ExtremalExample:
-    n: int
     delta: float
     A: SymmetricMatrix
-    refL: UnitLowerTriangular
-    refT: SymmetricTridiagonal
-    refP: PermutationVector
+    ref: AasenFactors
     expected_growth: float
 
 
@@ -52,13 +49,9 @@ class ExtremalExample:
 class ExampleReport:
     """Reference factors checked against a fresh factorization."""
 
-    example: ExtremalExample
     reference_residual: float
-    reference_growth: float
     reference_certificate: GrowthCertificate
-    factors: AasenFactors
     recomputed_residual: float
-    recomputed_growth: float
     recomputed_certificate: GrowthCertificate
 
 
@@ -129,33 +122,23 @@ def extremal_matrix(n: int, delta: float) -> ExtremalExample:
         expected = 32 - 20 * d
 
     return ExtremalExample(
-        n=n,
         delta=d,
         A=SymmetricMatrix.from_full(a),
-        refL=lower,
-        refT=SymmetricTridiagonal(np.array(diag, float), np.array(off, float)),
-        refP=PermutationVector.identity(n),
+        ref=AasenFactors(
+            p=PermutationVector.identity(n),
+            L=lower,
+            T=SymmetricTridiagonal(np.array(diag, float), np.array(off, float)),
+        ),
         expected_growth=float(expected),
     )
 
 
 def verify_example(ex: ExtremalExample) -> ExampleReport:
     """Check the reference factors and compare with a fresh factorization."""
-    ref_factors = AasenFactors(p=ex.refP, L=ex.refL, T=ex.refT)
-    ref_res = residual(ex.A, ex.refP, ex.refL, ex.refT)
-    ref_cert = growth_certificate(ex.A, ref_factors)
-
     f = factorize(ex.A)
-    rec_res = residual(ex.A, f.p, f.L, f.T)
-    rec_cert = growth_certificate(ex.A, f)
-
     return ExampleReport(
-        example=ex,
-        reference_residual=ref_res,
-        reference_growth=float(ref_cert.rho),
-        reference_certificate=ref_cert,
-        factors=f,
-        recomputed_residual=rec_res,
-        recomputed_growth=float(rec_cert.rho),
-        recomputed_certificate=rec_cert,
+        reference_residual=residual(ex.A, ex.ref.p, ex.ref.L, ex.ref.T),
+        reference_certificate=growth_certificate(ex.A, ex.ref),
+        recomputed_residual=residual(ex.A, f.p, f.L, f.T),
+        recomputed_certificate=growth_certificate(ex.A, f),
     )

@@ -43,7 +43,6 @@ class DeltaProgram(NamedTuple):
     """Slack-minimization program over delta_0 .. delta_(n-2)."""
 
     n: int
-    num_vars: int
     objective: Tuple[int, ...]
     rows: Tuple[ConstraintRow, ...]
 
@@ -96,7 +95,7 @@ def build_program(n: int) -> DeltaProgram:
     if n >= 4:
         add("tail", 3, n - 4, [-1, 1, -1], -6, 0)
 
-    return DeltaProgram(n=n, num_vars=nv, objective=(1,) * nv, rows=tuple(rows))
+    return DeltaProgram(n=n, objective=(1,) * nv, rows=tuple(rows))
 
 
 def _optimum(n: int) -> Tuple[Tuple[int, ...], dict]:
@@ -127,14 +126,15 @@ def verify(prog: DeltaProgram, point, duals: dict) -> int:
     prog.objective with a right-hand side equal to the point's objective;
     weak duality then makes the point optimal.  Int data make it exact.
     """
-    if len(point) != prog.num_vars:
-        raise ValueError(f"point has {len(point)} coordinates, program has {prog.num_vars}")
+    nv = len(prog.objective)
+    if len(point) != nv:
+        raise ValueError(f"point has {len(point)} coordinates, program has {nv}")
     for row in prog.rows:
         val = sum(map(mul, row.coeffs, point))
         if not row.lo <= val <= row.up:
             raise ValueError(f"point violates {row.label}: {val} not in [{row.lo}, {row.up}]")
     rows = {row.label: row for row in prog.rows}
-    coeffs, rhs = [0] * prog.num_vars, 0
+    coeffs, rhs = [0] * nv, 0
     for (label, side), weight in duals.items():
         row = rows.get(label)
         if weight < 0 or row is None or side not in ("lo", "up"):

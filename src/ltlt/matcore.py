@@ -16,12 +16,16 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _check_finite(a: np.ndarray, what: str):
+    if not np.isfinite(a).all():
+        raise ValueError(f"{what} entries must be finite, got {a[~np.isfinite(a)][0]}")
+
+
 def _check_square_finite(a: np.ndarray):
     """The shape and value checks both SymmetricMatrix constructors make first."""
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise ValueError(f"matrix entries must be finite, got {a[~np.isfinite(a)][0]}")
+    _check_finite(a, "matrix")
 
 
 def _value_eq(self, other):
@@ -77,9 +81,12 @@ class PermutationVector:
     __eq__ = _value_eq
 
     def __post_init__(self):
-        p = np.array(self.p, dtype=np.intp)
+        q = np.asarray(self.p)
+        with np.errstate(invalid="ignore"):  # NaN, inf and huge floats cast to garbage
+            p = q.astype(np.intp)
         p.setflags(write=False)
-        if p.ndim != 1 or sorted(p.tolist()) != list(range(p.shape[0])):
+        # array_equal rejects every entry the cast changed, such as 1.7 -> 1
+        if p.ndim != 1 or not np.array_equal(p, q) or sorted(p.tolist()) != list(range(p.shape[0])):
             raise ValueError("p is not a permutation of 0..n-1")
         object.__setattr__(self, "p", p)
 
@@ -107,6 +114,7 @@ class UnitLowerTriangular:
         a = _frozen(self.strict)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"expected a square array, got shape {a.shape}")
+        _check_finite(a, "multiplier")  # a NaN would pass the |l| <= 1 test below
         if np.any(np.triu(a) != 0.0):
             raise ValueError("entries on or above the diagonal must be zero")
         if np.any(a[1:, :1] != 0.0):
@@ -146,6 +154,7 @@ class SymmetricTridiagonal:
                 f"need diag of length n and offdiag of length n-1, "
                 f"got {d.shape[0]} and {e.shape[0]}"
             )
+        _check_finite(np.concatenate((d, e)), "diag and offdiag")
         object.__setattr__(self, "diag", d)
         object.__setattr__(self, "offdiag", e)
 

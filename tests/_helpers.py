@@ -166,9 +166,9 @@ def certificate_rows_scalar(a, f):
 def lp_vertex_minimum(prog, chunk=200_000):
     """Brute-force LP oracle: minimum objective over basic feasible points.
 
-    Every subset of num_vars constraint rows (written as G x <= h) with a
-    nonsingular normal matrix defines a basic point; the minimum of the
-    objective over the feasible ones is the LP optimum.
+    Every subset of len(prog.objective) constraint rows (written as
+    G x <= h) with a nonsingular normal matrix defines a basic point; the
+    minimum of the objective over the feasible ones is the LP optimum.
     """
     g_rows, h_rows = [], []
     for row in prog.rows:
@@ -262,7 +262,7 @@ def lp_simplex(prog: DeltaProgram) -> SimplexResult:
     guarantees through its box rows.  Deterministic for a fixed program.
     Rounding makes it wrong on delta programs past n = 20.
     """
-    nv = prog.num_vars
+    nv = len(prog.objective)
     sided = _one_sided(prog)
     m = len(sided)
     nslack = m

@@ -10,17 +10,13 @@ import jsonschema
 import numpy as np
 
 from _helpers import lp_vertex_minimum, rand_sym
-from ltlt.aasen import AasenFactors, SingularMatrixError, factorize, solve
+from ltlt.aasen import SingularMatrixError, factorize, solve
 from ltlt.cli import EXIT_DOMAIN, EXIT_OK, REPORT_SCHEMA, emit_matrix, main, parse_matrix
 from ltlt.extremal import extremal_matrix
 from ltlt.growth import growth_certificate, growth_factor, reference_growth_targets
 from ltlt.lpcert import build_program, min_delta, solve_lp
 from ltlt.matcore import SymmetricMatrix, max_abs, residual
 from ltlt.search import SearchConfig, evaluate_candidate, maximize_growth
-
-
-def _ref_factors(ex):
-    return AasenFactors(p=ex.refP, L=ex.refL, T=ex.refT)
 
 
 def _grid(n, points=20):
@@ -42,10 +38,10 @@ def test_criterion_01_example_growths():
     for n in (4, 5, 6):
         for d in _grid(n):
             ex = extremal_matrix(n, float(d))
-            got = growth_factor(ex.A, _ref_factors(ex))
+            got = growth_factor(ex.A, ex.ref)
             assert abs(got - forms[n](float(d))) <= 1e-10
     ex = extremal_matrix(6, 2.0 / 5.0)
-    assert abs(growth_factor(ex.A, _ref_factors(ex)) - 24.0) <= 1e-10
+    assert abs(growth_factor(ex.A, ex.ref) - 24.0) <= 1e-10
     _stamp(1, "example growths match 8-2d, 16-12d, 32-20d; n=6 at 2/5 gives 24", t0, 1.0)
 
 
@@ -53,7 +49,7 @@ def test_criterion_02_attainability():
     t0 = time.time()
     for n in (4, 5):
         ex = extremal_matrix(n, 1e-8)
-        got = growth_factor(ex.A, _ref_factors(ex))
+        got = growth_factor(ex.A, ex.ref)
         assert abs(got - 2.0 ** (n - 1)) <= 1e-6
     _stamp(2, "growth at delta=1e-8 is within 1e-6 of 2^(n-1) for n=4,5", t0, 1.0)
 
@@ -63,8 +59,8 @@ def test_criterion_03_reference_fidelity():
     for n in (4, 5, 6):
         for d in _grid(n):
             ex = extremal_matrix(n, float(d))
-            assert residual(ex.A, ex.refP, ex.refL, ex.refT) <= 1e-13
-    _stamp(3, "assemble(refL, refT) matches A to 1e-13 across all windows", t0, 1.0)
+            assert residual(ex.A, ex.ref.p, ex.ref.L, ex.ref.T) <= 1e-13
+    _stamp(3, "assemble(ref.L, ref.T) matches A to 1e-13 across all windows", t0, 1.0)
 
 
 def test_criterion_04_certificate_sweep():

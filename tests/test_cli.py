@@ -296,6 +296,21 @@ def test_cmd_examples(tmp_path, capsys):
     assert np.array_equal(parsed.entries, extremal_matrix(6, 0.4).A.entries)
 
 
+def test_cmd_examples_close_deltas_write_separate_files(tmp_path, capsys):
+    # deltas that agree to 6 digits once shared one file name, the second
+    # overwriting the first
+    files = {}
+    for delta in (0.4, 0.40000001):
+        rep = report_of(
+            capsys, "examples", "--n", "6", "--delta", repr(delta), "--out", str(tmp_path)
+        )
+        files[delta] = rep["outputs"]["example"]["matrix_file"]
+    assert len(set(files.values())) == 2
+    for delta, path in files.items():
+        growth = report_of(capsys, "certify", path)["outputs"]["growth"]
+        assert abs(growth - (32 - 20 * delta)) <= 1e-9
+
+
 def test_cmd_examples_window_violation(tmp_path, capsys):
     code, out, err = run_cli(
         capsys, "examples", "--n", "4", "--delta", "3", "--out", str(tmp_path)

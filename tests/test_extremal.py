@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from ltlt.aasen import AasenFactors
 from ltlt.extremal import DeltaWindowError, extremal_matrix, verify_example
 from ltlt.growth import growth_factor
 from ltlt.matcore import assemble, max_abs, residual
@@ -18,10 +17,10 @@ def test_assembly_and_growth_closed_forms():
     for n in (4, 5, 6):
         for d in _window_grid(n):
             ex = extremal_matrix(n, float(d))
-            diff = np.max(np.abs(assemble(ex.refL, ex.refT).entries - ex.A.entries))
+            diff = np.max(np.abs(assemble(ex.ref.L, ex.ref.T).entries - ex.A.entries))
             assert diff <= 1e-13
             assert max_abs(ex.A) == 1.0
-            ref = growth_factor(ex.A, AasenFactors(p=ex.refP, L=ex.refL, T=ex.refT))
+            ref = growth_factor(ex.A, ex.ref)
             assert ref == ex.expected_growth
 
 
@@ -82,7 +81,7 @@ def test_window_boundaries_valid():
 def test_verify_n4_half():
     rep = verify_example(extremal_matrix(4, 0.5))
     assert rep.reference_residual <= 1e-13
-    assert abs(rep.recomputed_growth - 7.0) <= 1e-10
+    assert abs(rep.recomputed_certificate.rho - 7.0) <= 1e-10
     assert rep.reference_certificate.all_pass
     assert rep.recomputed_certificate.all_pass
 
@@ -91,8 +90,8 @@ def test_verify_n6_two_fifths():
     rep = verify_example(extremal_matrix(6, 2.0 / 5.0))
     assert rep.reference_certificate.all_pass
     assert rep.recomputed_certificate.all_pass
-    assert abs(rep.reference_growth - 24.0) <= 1e-10
-    assert abs(rep.recomputed_growth - 24.0) <= 1e-10
+    assert abs(rep.reference_certificate.rho - 24.0) <= 1e-10
+    assert abs(rep.recomputed_certificate.rho - 24.0) <= 1e-10
 
 
 def test_verify_n5_window_edge():
@@ -104,8 +103,9 @@ def test_recomputed_branch_tracks_reference():
     # the factorizer recovers the displayed growth at interior window points
     for n, deltas in [(4, (0.05, 0.7, 1.9)), (5, (0.1, 0.9)), (6, (0.41, 0.79))]:
         for d in deltas:
-            rep = verify_example(extremal_matrix(n, d))
-            assert abs(rep.recomputed_growth - rep.example.expected_growth) <= 1e-10
+            ex = extremal_matrix(n, d)
+            rep = verify_example(ex)
+            assert abs(rep.recomputed_certificate.rho - ex.expected_growth) <= 1e-10
             assert rep.recomputed_residual <= 1e-13
 
 
@@ -113,4 +113,4 @@ def test_reference_residual_across_windows():
     for n in (4, 5, 6):
         for d in _window_grid(n):
             ex = extremal_matrix(n, float(d))
-            assert residual(ex.A, ex.refP, ex.refL, ex.refT) <= 1e-13
+            assert residual(ex.A, ex.ref.p, ex.ref.L, ex.ref.T) <= 1e-13

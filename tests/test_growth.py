@@ -21,10 +21,6 @@ from ltlt.matcore import (
 )
 
 
-def _ref_factors(ex):
-    return AasenFactors(p=ex.refP, L=ex.refL, T=ex.refT)
-
-
 def test_growth_identity():
     a = SymmetricMatrix(np.eye(5))
     assert growth_factor(a, factorize(a)) == 1.0
@@ -69,7 +65,7 @@ def test_certificate_small_delta_margin():
     # reference factors at delta -> 0+: the trailing diagonal bound margin
     # closes like 12 * delta
     ex = extremal_matrix(5, 1e-6)
-    cert = growth_certificate(ex.A, _ref_factors(ex))
+    cert = growth_certificate(ex.A, ex.ref)
     assert cert.all_pass
     t55, t54 = cert.labels.index("t[5,5]"), cert.labels.index("t[5,4]")
     margin = cert.bound - cert.lhs
@@ -159,7 +155,7 @@ def test_certificate_matches_oracle_extremal(n, deltas):
     for d in deltas:
         ex = extremal_matrix(n, d)
         _assert_matches_oracle(ex.A, factorize(ex.A))
-        _assert_matches_oracle(ex.A, _ref_factors(ex))
+        _assert_matches_oracle(ex.A, ex.ref)
 
 
 def test_certificate_failing_rows_match_oracle():

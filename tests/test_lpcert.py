@@ -29,7 +29,7 @@ def _rows_by_label(prog):
 
 def test_build_program_n3_box_only():
     prog = build_program(3)
-    assert prog.num_vars == 2
+    assert len(prog.objective) == 2
     assert [r.label for r in prog.rows] == ["box[0]", "box[1]"]
     assert prog.rows[0].lo == 0.0 and prog.rows[0].up == 2.0
     assert prog.rows[1].up == 4.0
@@ -37,7 +37,7 @@ def test_build_program_n3_box_only():
 
 def test_build_program_n6_families():
     prog = build_program(6)
-    assert prog.num_vars == 5
+    assert len(prog.objective) == 5
     rows = _rows_by_label(prog)
     assert {f"box[{j}]" for j in range(5)} <= rows.keys()
     assert {"chain[q=3]", "chain[q=4]", "chain[q=5]"} <= rows.keys()
@@ -71,7 +71,7 @@ def test_build_program_domain():
 def test_zero_feasibility_dichotomy():
     for n in range(3, 11):
         prog = build_program(n)
-        violation = prog.max_violation(np.zeros(prog.num_vars))
+        violation = prog.max_violation(np.zeros(len(prog.objective)))
         if n <= 5:
             assert violation == 0.0
         else:
@@ -81,7 +81,6 @@ def test_zero_feasibility_dichotomy():
 def test_solve_trivial_interval():
     prog = DeltaProgram(
         n=3,
-        num_vars=1,
         objective=(1.0,),
         rows=(ConstraintRow("interval", (1.0,), 1.0, 2.0),),
     )
@@ -94,7 +93,6 @@ def test_solve_trivial_interval():
 def test_solve_infeasible_program():
     prog = DeltaProgram(
         n=3,
-        num_vars=1,
         objective=(1.0,),
         rows=(
             ConstraintRow("low", (1.0,), 3.0, float("inf")),
@@ -180,7 +178,7 @@ def test_verify_rejects_a_negative_multiplier():
 
 
 def test_verify_rejects_a_foreign_program():
-    prog = DeltaProgram(n=4, num_vars=3, objective=(1, 1, 1), rows=build_program(4).rows[:2])
+    prog = DeltaProgram(n=4, objective=(1, 1, 1), rows=build_program(4).rows[:2])
     with pytest.raises(ValueError, match="negative or not a row"):
         solve_lp(prog)
     with pytest.raises(ValueError, match="coordinates"):

@@ -81,7 +81,7 @@ def test_assemble_identity():
 
 def test_assemble_extremal_n4():
     ex = extremal_matrix(4, 0.5)
-    out = assemble(ex.refL, ex.refT)
+    out = assemble(ex.ref.L, ex.ref.T)
     assert np.max(np.abs(out.entries - ex.A.entries)) <= 1e-14
 
 
@@ -137,7 +137,7 @@ def test_residual_trivial_2x2():
 
 def test_residual_extremal_n5():
     ex = extremal_matrix(5, 0.25)
-    assert residual(ex.A, ex.refP, ex.refL, ex.refT) <= 1e-13
+    assert residual(ex.A, ex.ref.p, ex.ref.L, ex.ref.T) <= 1e-13
 
 
 def test_residual_random_20x20():
@@ -201,6 +201,17 @@ def test_unit_lower_invariants():
         (lambda: UnitLowerTriangular(_lower3(np.nextafter(1.0, 2.0))), "exceeds 1"),
         (lambda: UnitLowerTriangular(_lower3(np.nextafter(-1.0, -2.0))), "exceeds 1"),
         (lambda: SymmetricTridiagonal([1.0, 2.0, 3.0], [1.0]), "got 3 and 1"),
+        # a NaN multiplier used to pass the |l| <= 1 test
+        (lambda: UnitLowerTriangular(_lower3(np.nan)), "multiplier entries must be finite, got nan"),
+        (lambda: UnitLowerTriangular(_lower3(-np.inf)),
+         "multiplier entries must be finite, got -inf"),
+        (lambda: SymmetricTridiagonal([1.0, np.nan], [0.0]),
+         "diag and offdiag entries must be finite, got nan"),
+        (lambda: SymmetricTridiagonal([1.0, 2.0], [np.inf]),
+         "diag and offdiag entries must be finite, got inf"),
+        # the int cast used to truncate 1.7 to 1
+        (lambda: PermutationVector([1.7, 0.2]), "not a permutation"),
+        (lambda: PermutationVector(np.array([1.0, np.nan])), "not a permutation"),
         (
             lambda: assemble(
                 UnitLowerTriangular.identity(2), SymmetricTridiagonal(np.ones(3), np.zeros(2))
@@ -228,7 +239,8 @@ def test_unit_lower_invariants():
         "from-full-inf", "from-full-skew-overflow", "perm-0d", "lower-0d", "tridiag-0d-diag",
         "tridiag-0d-offdiag",
         "lower-non-square", "lower-diagonal", "lower-above-1", "lower-below-minus-1",
-        "tridiag-lengths", "assemble-dims", "tridiag-solve-rhs", "solve-rhs",
+        "tridiag-lengths", "lower-nan", "lower-inf", "tridiag-nan", "tridiag-inf",
+        "perm-fractional", "perm-nan", "assemble-dims", "tridiag-solve-rhs", "solve-rhs",
         "tridiag-solve-nan", "tridiag-solve-inf", "solve-nan", "solve-inf",
     ],
 )
