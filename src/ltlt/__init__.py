@@ -26,7 +26,6 @@ _EXPORTS = {
     ),
     "lpcert": (
         "ConstraintRow", "DeltaProgram", "LPSolution", "build_program", "min_delta", "solve_lp",
-        "tnn_upper_bound",
     ),
     "matcore": (
         "PermutationVector", "SymmetricMatrix", "SymmetricTridiagonal", "UnitLowerTriangular",

@@ -7,8 +7,8 @@ cannot be read or decoded, or an output path that cannot be written),
 range), 3 internal invariant violation (a failing certificate, which
 should never occur).  Every successful invocation, and a failing
 certificate, prints one JSON report validating against REPORT_SCHEMA, on
-one line.  A table in a report (the certificate's rows, the LP's rows) is
-one object of equal-length arrays, one per field of the row type.
+one line.  A table in a report (the certificate's rows) is one object of
+equal-length arrays, one per field of the row type.
 
 At module level this imports only the standard library and the pure-Python
 lpcert, which also defines DomainError and MAX_N.  The numerical modules,
@@ -26,13 +26,13 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .lpcert import MAX_N, ConstraintRow, DomainError, build_program, solve_lp
+from .lpcert import MAX_N, DomainError, build_program, solve_lp
 
 if TYPE_CHECKING:
     from .growth import GrowthCertificate
     from .matcore import SymmetricMatrix
 
-SCHEMA_VERSION = "3"
+SCHEMA_VERSION = "4"
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -101,12 +101,11 @@ REPORT_SCHEMA = {
                 "certificate": {
                     "type": "object",
                     "additionalProperties": False,
-                    "required": ["rows", "all_pass", "rho"],
+                    "required": ["rows", "all_pass"],
                     "properties": {
                         # growth.CheckRow's fields
                         "rows": _table(label={"type": "string"}, lhs=_NUM, bound=_NUM, margin=_NUM),
                         "all_pass": {"type": "boolean"},
-                        "rho": _NUM,
                     },
                 },
                 "lp": {
@@ -114,12 +113,9 @@ REPORT_SCHEMA = {
                     "additionalProperties": False,
                     "required": ["objective", "point", "tnn_bound"],
                     "properties": {
-                        # lpcert.ConstraintRow's fields
-                        "rows": _table(label={"type": "string"}, coeffs=_NUM_ARRAY, lo=_NUM, up=_NUM),
                         "objective": _NUM,
                         "point": _NUM_ARRAY,
                         "tnn_bound": _NUM,
-                        "bound_not_tight": {"type": "boolean"},
                     },
                 },
                 "example": {
@@ -255,7 +251,6 @@ def _cert_dict(cert: GrowthCertificate) -> dict:
             "margin": (cert.bound - cert.lhs).tolist(),
         },
         "all_pass": cert.all_pass,
-        "rho": cert.rho,
     }
 
 
@@ -324,16 +319,14 @@ def _check_n(command: str, n: int):
 
 def cmd_lp(args) -> int:
     _check_n("lp", args.n)
-    prog = build_program(args.n)
-    sol = solve_lp(prog)
-    # the program and its optimum are exact ints, and so are the report's rows
+    sol = solve_lp(build_program(args.n))
+    # the optimum is exact ints; a reader rebuilds the program as build_program(n).
+    # tnn_bound is the program's optimum for |t_nn| / max|a_ij|, not a bound on it
     outputs = {
         "lp": {
-            "rows": dict(zip(ConstraintRow._fields, zip(*prog.rows))),
             "objective": sol.objective_value,
             "point": list(sol.point),
             "tnn_bound": float(2 ** (args.n - 1) - sol.objective_value),
-            "bound_not_tight": sol.objective_value > 0,
         }
     }
     return _write_report("lp", {"n": args.n}, outputs, args.out)

@@ -4,7 +4,10 @@ For n = 4 and 5 the growth approaches 2^(n-1) as delta -> 0+, witnessing
 attainability of the bound; the n = 6 family peaks at growth 24 < 32 over
 its whole validity window, consistent with the bound not being tight there.
 Every generator returns the matrix together with its reference factors
-(identity permutation), whose entries are closed forms in delta.
+(identity permutation), whose entries are closed forms in delta.  A delta
+that makes an off-diagonal of the reference T exactly 0 is rejected: the
+working column pivoting on it vanishes, and L, T are no longer the factors
+that factorize finds (delta = 0 for n = 4 and 5, delta = 1/2 for n = 6).
 """
 from __future__ import annotations
 
@@ -25,11 +28,12 @@ from .matcore import (
 
 SUPPORTED_N = (4, 5, 6)
 
-# (lower, lower_inclusive, upper, window_text, binding_entry_text)
+# (lower, upper, window_text, binding_entry_text); extremal_matrix also
+# rejects the deltas that zero an off-diagonal of the reference T
 _WINDOWS = {
-    4: (0.0, False, 2.0, "0 < delta <= 2", "entry a[2,4] = delta - 1 must stay in [-1, 1]"),
-    5: (0.0, False, 1.0, "0 < delta <= 1", "entry a[3,5] = 2*delta - 1 must stay in [-1, 1]"),
-    6: (0.4, True, 0.8, "2/5 <= delta <= 4/5", "entry a[4,4] = 5*delta - 3 must stay in [-1, 1]"),
+    4: (0.0, 2.0, "0 < delta <= 2", "entry a[2,4] = delta - 1 must stay in [-1, 1]"),
+    5: (0.0, 1.0, "0 < delta <= 1", "entry a[3,5] = 2*delta - 1 must stay in [-1, 1]"),
+    6: (0.4, 0.8, "2/5 <= delta <= 4/5", "entry a[4,4] = 5*delta - 3 must stay in [-1, 1]"),
 }
 
 
@@ -60,14 +64,10 @@ def _check_window(n: int, delta: float):
         raise ValueError(f"no extremal example for n={n}; supported: {SUPPORTED_N}")
     if not np.isfinite(delta):  # every window comparison with NaN is false
         raise DeltaWindowError(f"delta must be a finite number, got {delta}")
-    lo, lo_incl, up, window, binding = _WINDOWS[n]
-    ok_low = delta >= lo if lo_incl else delta > lo
-    if not (ok_low and delta <= up):
-        detail = binding
-        if not ok_low and not lo_incl:
-            detail = "delta = 0 degenerates the factors; " + binding
+    lo, up, window, binding = _WINDOWS[n]
+    if not lo <= delta <= up:
         raise DeltaWindowError(
-            f"delta={delta!r} outside the n={n} window {window} ({detail})"
+            f"delta={delta!r} outside the n={n} window {window} ({binding})"
         )
 
 
@@ -121,6 +121,11 @@ def extremal_matrix(n: int, delta: float) -> ExtremalExample:
         off = [1, 0.25 - d / 2, -1, d, -16 + 8 * d]
         expected = 32 - 20 * d
 
+    for k, t in enumerate(off):
+        if t == 0:
+            raise DeltaWindowError(
+                f"delta={delta!r} zeroes t[{k + 2},{k + 1}], which degenerates the factors"
+            )
     return ExtremalExample(
         delta=d,
         A=SymmetricMatrix.from_full(a),

@@ -157,14 +157,9 @@ def solve_lp(prog: DeltaProgram) -> LPSolution:
 
 
 def min_delta(n: int) -> int:
-    """Optimal total slack for dimension n, exact: 0 for n <= 5, 2^(n-1) - 28 after."""
-    return solve_lp(build_program(n)).objective_value
+    """Optimal total slack for dimension n, exact: 0 for n <= 5, 2^(n-1) - 28 after.
 
-
-def tnn_upper_bound(n: int) -> float:
-    """2^(n-1) minus the optimal slack: the program's optimum for |t_nn| / max|a_ij|.
-
-    Not a bound on every factorization: the n = 9 matrix in
-    tests/data/tnn_n9.txt reaches 32.741975 where this gives 28.0.
+    2^(n-1) - min_delta(n) is the program's optimum for |t_nn| / max|a_ij|,
+    not a bound on every factorization (see the module docstring).
     """
-    return float(2 ** (n - 1) - min_delta(n))
+    return solve_lp(build_program(n)).objective_value

@@ -31,6 +31,24 @@ def rand_sym(rng, n, scale=1.0) -> SymmetricMatrix:
     return SymmetricMatrix.from_full((m + m.T) / 2.0)
 
 
+def extremal_n6_half() -> SymmetricMatrix:
+    """The n = 6 extremal family at delta = 1/2, written out.
+
+    extremal_matrix rejects that delta: its reference t[3,2] = 1/4 - delta/2
+    is 0, so the working column pivoting on it vanishes and factorize takes
+    zero multipliers.  The matrix stays a fair case for the factorization,
+    its certificate and the solve.
+    """
+    return SymmetricMatrix(np.array([
+        [1, 1, 1, 1, 1, -1],
+        [1, -0.5, -0.5, -0.5, -0.5, 0.5],
+        [1, -0.5, -1, -1, 1, -1],
+        [1, -0.5, -1, -0.5, 1, 0],
+        [1, -0.5, 1, 1, 1, -1],
+        [-1, 0.5, -1, 0, -1, 1],
+    ], float))
+
+
 def assemble_triple_loop(l_full, diag, off):
     """L T L^T by explicit loops; independent of any matmul kernel."""
     n = len(diag)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from _helpers import column_identity_residual, rand_sym
+from _helpers import column_identity_residual, extremal_n6_half, rand_sym
 from ltlt.aasen import (
     SingularMatrixError,
     _SweepPlan,
@@ -207,7 +207,7 @@ def test_solve_identity():
 
 
 def test_solve_extremal_n6():
-    a = extremal_matrix(6, 0.5).A
+    a = extremal_n6_half()
     x_true = np.ones(6)
     x = solve(factorize(a), a.entries @ x_true)
     assert np.max(np.abs(x - x_true)) <= 1e-10

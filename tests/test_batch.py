@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from _helpers import factorize_scalar, maximize_growth_scalar
+from _helpers import extremal_n6_half, factorize_scalar, maximize_growth_scalar
 from ltlt import search
 from ltlt.aasen import AasenFactors, _SweepPlan, factorize
 from ltlt.cli import read_matrix
@@ -114,10 +114,13 @@ def test_kernel_matches_factorize_large_stack():
 @pytest.mark.parametrize("n,deltas", [
     (4, (0.01, 0.05, 0.5, 1.0, 2.0)),
     (5, (0.01, 0.1, 0.5, 1.0)),
-    (6, (0.4, 0.5, 0.6, 0.8)),
+    (6, (0.4, 0.6, 0.8)),
 ])
 def test_kernel_matches_factorize_extremal(n, deltas):
-    _assert_matches_reference([extremal_matrix(n, d).A.entries for d in deltas])
+    stack = [extremal_matrix(n, d).A.entries for d in deltas]
+    if n == 6:  # and delta = 1/2, which extremal_matrix rejects
+        stack.append(extremal_n6_half().entries)
+    _assert_matches_reference(stack)
 
 
 def _fixture(n):

@@ -22,7 +22,7 @@ from ltlt.cli import (
 )
 from ltlt.extremal import extremal_matrix
 from ltlt.growth import MARGIN_TOL, CheckRow, growth_factor
-from ltlt.lpcert import solve_lp, tnn_upper_bound
+from ltlt.lpcert import min_delta, solve_lp
 from ltlt.matcore import SymmetricMatrix
 
 
@@ -37,12 +37,11 @@ def check_report(out: str) -> dict:
     every table's columns have one length."""
     report = json.loads(out)
     jsonschema.validate(report, REPORT_SCHEMA)
-    assert report["schema_version"] == "3"
+    assert report["schema_version"] == "4"
     assert "rule" not in report["inputs"]
-    outputs = report["outputs"]
-    for table in (outputs.get("certificate", {}).get("rows"), outputs.get("lp", {}).get("rows")):
-        if table is not None:
-            assert len({len(column) for column in table.values()}) == 1
+    table = report["outputs"].get("certificate", {}).get("rows")
+    if table is not None:
+        assert len({len(column) for column in table.values()}) == 1
     return report
 
 
@@ -151,16 +150,13 @@ def test_cmd_certify_random(tmp_path, capsys):
 def test_cmd_lp_values(capsys):
     rep = report_of(capsys, "lp", "--n", "5")
     assert abs(rep["outputs"]["lp"]["objective"]) <= 1e-9
-    assert rep["outputs"]["lp"]["bound_not_tight"] is False
     assert rep["outputs"]["lp"]["tnn_bound"] == 16.0
 
     rep = report_of(capsys, "lp", "--n", "6")
     assert rep["outputs"]["lp"]["objective"] > 1e-9
-    assert rep["outputs"]["lp"]["bound_not_tight"] is True
 
     rep = report_of(capsys, "lp", "--n", "3")
-    assert abs(rep["outputs"]["lp"]["objective"]) <= 1e-9
-    assert all(label.startswith("box") for label in rep["outputs"]["lp"]["rows"]["label"])
+    assert rep["outputs"]["lp"] == {"objective": 0, "point": [0, 0], "tnn_bound": 4.0}
 
 
 @pytest.mark.parametrize("n", [21, 35, 40, 60])
@@ -169,20 +165,16 @@ def test_cmd_lp_past_the_float_simplex(capsys, n):
     lp = report_of(capsys, "lp", "--n", str(n))["outputs"]["lp"]
     assert lp["tnn_bound"] == 28.0
     assert lp["objective"] == 2 ** (n - 1) - 28
-    assert lp["bound_not_tight"] is True
     assert "iterations" not in lp
 
 
 def test_cmd_lp_exact_report(capsys):
+    # the program is build_program(n), not written: the report holds its optimum
     lp = report_of(capsys, "lp", "--n", "6")["outputs"]["lp"]
+    assert list(lp) == ["objective", "point", "tnn_bound"]
     assert (lp["objective"], lp["tnn_bound"]) == (4.0, 28.0)
     assert lp["point"] == [0.0, 0.0, 2.0, 2.0, 0.0]
     assert all(type(v) is int for v in (lp["objective"], *lp["point"]))
-    rows = lp["rows"]
-    assert list(rows) == list(lpcert.ConstraintRow._fields)
-    tail = {k: column[-1] for k, column in rows.items()}
-    assert tail == {"label": "tail", "coeffs": [3.0, 3.0, -1.0, 1.0, -1.0], "lo": -6.0, "up": 0.0}
-    assert all(type(v) is int for v in (*sum(rows["coeffs"], []), *rows["lo"], *rows["up"]))
 
 
 @pytest.mark.parametrize("n", [58, 100])
@@ -193,11 +185,6 @@ def test_cmd_lp_report_point_is_feasible(capsys, n):
     assert prog.max_violation(lp["point"]) == 0
     assert tuple(lp["point"]) == solve_lp(prog).point
     assert lp["objective"] == sum(lp["point"]) == 2 ** (n - 1) - 28
-    # rows written as doubles rejected the point from n = 56 on (41 power rows at n = 100)
-    rows = lp["rows"]
-    assert list(zip(rows["label"], rows["coeffs"], rows["lo"], rows["up"])) == [
-        (r.label, list(r.coeffs), r.lo, r.up) for r in prog.rows
-    ]
 
 
 def test_cmd_lp_domain_error(capsys):
@@ -212,14 +199,14 @@ def test_cmd_lp_solves_once(capsys, monkeypatch):
         calls.append(prog.n)
         return solve_lp(prog)
 
-    # both bindings: tnn_upper_bound solves through the lpcert one
+    # both bindings, so a second solve through lpcert's (min_delta's) counts too
     monkeypatch.setattr(cli, "solve_lp", counting)
     monkeypatch.setattr(lpcert, "solve_lp", counting)
     for n in (6, 12, 20):
         calls.clear()
         rep = report_of(capsys, "lp", "--n", str(n))
         assert calls == [n]
-        assert rep["outputs"]["lp"]["tnn_bound"] == tnn_upper_bound(n)
+        assert rep["outputs"]["lp"]["tnn_bound"] == 2 ** (n - 1) - min_delta(n)
 
 
 @pytest.mark.parametrize("command", ["lp", "search"])
@@ -317,6 +304,17 @@ def test_cmd_examples_window_violation(tmp_path, capsys):
     )
     assert code == EXIT_DOMAIN
     assert "0 < delta <= 2" in err
+
+
+def test_cmd_examples_degenerate_delta(tmp_path, capsys):
+    # t[3,2] = 1/4 - delta/2 vanishes at delta = 1/2, and factorize then
+    # recomputes growth 2, not the family's 22
+    code, out, err = run_cli(
+        capsys, "examples", "--n", "6", "--delta", "0.5", "--out", str(tmp_path)
+    )
+    assert (code, out) == (EXIT_DOMAIN, "")
+    assert err == "error: delta=0.5 zeroes t[3,2], which degenerates the factors\n"
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("n", ["4", "5", "6"])
@@ -501,8 +499,8 @@ def test_certify_report_matches_oracle(tmp_path, capsys):
     assert rep["outputs"]["certificate"] == {
         "rows": dict(zip(CheckRow._fields, map(list, zip(*rows)))),
         "all_pass": all(row[3] >= -MARGIN_TOL for row in rows),
-        "rho": growth_factor(a, f),
     }
+    assert rep["outputs"]["growth"] == growth_factor(a, f)
 
 
 def test_write_report_rejects_nan(capsys):

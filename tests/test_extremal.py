@@ -46,6 +46,9 @@ def test_window_errors():
     cases = [
         (4, 3.0, "0 < delta <= 2"),
         (4, 0.0, "degenerates"),
+        (4, -0.0, "degenerates"),
+        (5, 0.0, "degenerates"),
+        (6, 0.5, "t[3,2]"),
         (4, -1.0, "a[2,4]"),
         (5, 1.0001, "0 < delta <= 1"),
         (6, 0.2, "2/5 <= delta <= 4/5"),
@@ -100,10 +103,10 @@ def test_verify_n5_window_edge():
 
 
 def test_recomputed_branch_tracks_reference():
-    # the factorizer recovers the displayed growth at interior window points
-    for n, deltas in [(4, (0.05, 0.7, 1.9)), (5, (0.1, 0.9)), (6, (0.41, 0.79))]:
-        for d in deltas:
-            ex = extremal_matrix(n, d)
+    # the factorizer recovers the displayed growth across each window
+    for n in (4, 5, 6):
+        for d in (*_window_grid(n), *_window_grid(n, 50)):
+            ex = extremal_matrix(n, float(d))
             rep = verify_example(ex)
             assert abs(rep.recomputed_certificate.rho - ex.expected_growth) <= 1e-10
             assert rep.recomputed_residual <= 1e-13

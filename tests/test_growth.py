@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from _helpers import certificate_rows_scalar, rand_sym
+from _helpers import certificate_rows_scalar, extremal_n6_half, rand_sym
 from ltlt.aasen import AasenFactors, factorize
 from ltlt.extremal import extremal_matrix
 from ltlt.growth import (
@@ -149,13 +149,16 @@ def test_certificate_matches_oracle_identity_and_ones(n):
 @pytest.mark.parametrize("n,deltas", [
     (4, (1e-6, 0.01, 0.05, 0.5, 1.0, 2.0)),
     (5, (1e-6, 0.01, 0.1, 0.5, 1.0)),
-    (6, (0.4, 0.5, 0.6, 0.8)),
+    (6, (0.4, 0.6, 0.8)),
 ])
 def test_certificate_matches_oracle_extremal(n, deltas):
     for d in deltas:
         ex = extremal_matrix(n, d)
         _assert_matches_oracle(ex.A, factorize(ex.A))
         _assert_matches_oracle(ex.A, ex.ref)
+    if n == 6:  # and delta = 1/2, which extremal_matrix rejects
+        a = extremal_n6_half()
+        _assert_matches_oracle(a, factorize(a))
 
 
 def test_certificate_failing_rows_match_oracle():

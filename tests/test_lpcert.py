@@ -14,7 +14,6 @@ from ltlt.lpcert import (
     build_program,
     min_delta,
     solve_lp,
-    tnn_upper_bound,
     verify,
 )
 
@@ -214,12 +213,13 @@ def test_solver_deterministic():
     assert np.array_equal(s1.point, s2.point)
 
 
-def test_tnn_upper_bound():
-    assert tnn_upper_bound(5) == 16.0
-    assert tnn_upper_bound(4) == 8.0
-    assert tnn_upper_bound(7) < 64.0
+def test_tnn_program_optimum():
+    # 2^(n-1) - min_delta(n): the program's optimum for |t_nn| / max|a_ij|
+    assert 2**4 - min_delta(5) == 16
+    assert 2**3 - min_delta(4) == 8
+    assert 2**6 - min_delta(7) < 64
     for n in (6, 21, 35, 60, 200, 1024):
-        assert tnn_upper_bound(n) == 28.0
+        assert 2 ** (n - 1) - min_delta(n) == 28
 
 
 def test_tnn_fixture_exceeds_the_program_optimum():
@@ -234,4 +234,4 @@ def test_tnn_fixture_exceeds_the_program_optimum():
     assert growth_certificate(a, f).all_pass
     tnn = abs(f.T.diag[-1]) / np.abs(a.entries).max()
     assert abs(tnn - 32.741975) <= 1e-6
-    assert tnn_upper_bound(9) == 28.0 < tnn < 2.0**8
+    assert 2**8 - min_delta(9) == 28 < tnn < 2.0**8
