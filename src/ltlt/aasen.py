@@ -246,9 +246,10 @@ def factorize(a: SymmetricMatrix) -> AasenFactors:
     if not (np.isfinite(t).all() and np.isfinite(lower).all()):
         raise OverflowError("factorization overflows the double range (non-finite factor entry)")
 
+    np.fill_diagonal(lower, 0.0)  # the block is L with its unit diagonal; keep the strict part
     return AasenFactors(
         p=PermutationVector(z[0].view(np.intp)[:, 2 * n] - n),
-        L=UnitLowerTriangular(np.tril(lower, -1)),
+        L=UnitLowerTriangular(lower),
         T=SymmetricTridiagonal(t[0, ::2], t[0, 1::2]),
     )
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .aasen import AasenFactors
 from .lpcert import MAX_N, DomainError
-from .matcore import SymmetricMatrix, _frozen, _value_eq, max_abs
+from .matcore import SymmetricMatrix, _frozen, _value_eq, max_abs, working_matrix
 
 # A check row may undershoot its bound by this much before failing; absorbs
 # roundoff accumulation across dimensions up to ~50.
@@ -112,8 +112,12 @@ def growth_certificate(a: SymmetricMatrix, f: AasenFactors) -> GrowthCertificate
       |h[n,n]| <= 2^(n-2)             (equals |l_(n,n-1) t_(n-1,n) + t_nn|)
       |t[i,i-1]| <= 2^(i-2),  |t[i,i]| <= 2^(i-1)   for 3 <= i <= n
 
-    For n < 3 only the first group applies.  Raises OverflowError for
-    n > MAX_N, where the bounds are not representable.
+    For n < 3 only the first group applies.  H comes from
+    matcore.working_matrix(), which forms it from T's band and L's strict
+    part in O(n^2) elementwise work with no BLAS call, so the row values do
+    not depend on the BLAS kernel.  Each lhs is |x| / max |a_ij| of its raw
+    entry x.  Raises OverflowError for n > MAX_N, where the bounds are not
+    representable.
     """
     _check_dims(a, f)
     m = max_abs(a)
@@ -122,32 +126,34 @@ def growth_certificate(a: SymmetricMatrix, f: AasenFactors) -> GrowthCertificate
     n = f.n
     if n > MAX_N:
         raise OverflowError(f"certificate needs n <= {MAX_N} (2^(n-1) overflows a double), got {n}")
-    diag = f.T.diag / m
-    off = f.T.offdiag / m
+    d, e = f.T.diag, f.T.offdiag
     pow2 = np.array([2.0 ** k for k in range(n)])
 
-    lead = [diag[0], off[0], diag[1]] if n >= 2 else [diag[0]]
-    lhs = [np.abs(lead)]
+    lead = [d[0], e[0], d[1]] if n >= 2 else [d[0]]
+    lhs = [lead]
     bound = [np.ones(len(lead))]
 
     if n >= 3:
-        lf = f.L.full()
-        h = (f.T.full() @ lf.T) / m  # upper Hessenberg working matrix
-        r, c = np.triu_indices(n - 1, 1)  # h[j,i], 2 <= j < i <= n, row-major
-        lhs += [
-            np.abs(h[0, 2:]),
-            np.abs(h[1:, 1:][r, c]),
-            np.abs(h[n - 1, n - 1 :]),
-            np.abs(np.column_stack((off[1:], diag[2:]))).ravel(),
-        ]
+        h = working_matrix(f.L, f.T)
+        # h[1,i] for i >= 3, then h[j,i] for 2 <= j < i, row-major: the strict
+        # upper triangle of H without h[1,2], which is t[2,1]
+        upper = np.arange(n) > np.arange(n)[:, None]
+        upper[0, 1] = False
+        lhs += [h[upper], [h[n - 1, n - 1]], np.column_stack((e[1:], d[2:])).ravel()]
+        del h, upper  # free the n x n arrays before the bounds are built
+        # row j < n of H has n - j entries right of the diagonal, bounded by 1
+        # in row 1 (less h[1,2]) and by 2^(j-2) from row 2 on
+        counts = np.arange(n - 1, 0, -1)
+        counts[0] -= 1
         bound += [
-            np.ones(n - 2),
-            pow2[r],
+            np.repeat(np.concatenate(([1.0], pow2[: n - 2])), counts),
             pow2[n - 2 : n - 1],
             np.column_stack((pow2[1 : n - 1], pow2[2:])).ravel(),
         ]
 
     lhs = np.concatenate(lhs)
+    lhs /= m
+    np.abs(lhs, out=lhs)
     bound = np.concatenate(bound)
     all_pass = bool(np.all(bound - lhs >= -MARGIN_TOL))
     rho = f.T.max_abs() / m  # growth_factor(a, f) without a second scan of A

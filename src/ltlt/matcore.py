@@ -115,11 +115,12 @@ class UnitLowerTriangular:
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"expected a square array, got shape {a.shape}")
         _check_finite(a, "multiplier")  # a NaN would pass the |l| <= 1 test below
-        if np.any(np.triu(a) != 0.0):
+        n = a.shape[0]
+        if np.any(a, where=np.arange(n) >= np.arange(n)[:, None]):
             raise ValueError("entries on or above the diagonal must be zero")
         if np.any(a[1:, :1] != 0.0):
             raise ValueError("first column must be e_1 (no multipliers in column 0)")
-        if a.size and np.max(np.abs(a)) > 1.0:
+        if a.size and (a.max() > 1.0 or a.min() < -1.0):
             raise ValueError("multiplier exceeds 1 in magnitude")
         object.__setattr__(self, "strict", a)
 
@@ -133,7 +134,9 @@ class UnitLowerTriangular:
 
     def full(self) -> np.ndarray:
         """Dense matrix with the implicit unit diagonal filled in."""
-        return self.strict + np.eye(self.n)
+        out = np.array(self.strict)
+        np.fill_diagonal(out, 1.0)
+        return out
 
 
 @dataclass(frozen=True)
@@ -177,30 +180,70 @@ def max_abs(a: SymmetricMatrix) -> float:
     return float(np.max(np.abs(a.entries)))
 
 
-def permute_sym(a: SymmetricMatrix, perm: PermutationVector) -> SymmetricMatrix:
-    """Symmetric permutation: result[i, j] = a[p[i], p[j]]."""
+def _check_perm(a: SymmetricMatrix, perm: PermutationVector):
     if perm.n != a.n:
         raise ValueError(f"permutation length {perm.n} != matrix dimension {a.n}")
+
+
+def permute_sym(a: SymmetricMatrix, perm: PermutationVector) -> SymmetricMatrix:
+    """Symmetric permutation: result[i, j] = a[p[i], p[j]]."""
+    _check_perm(a, perm)
     return SymmetricMatrix(a.entries[np.ix_(perm.p, perm.p)])
 
 
-def assemble(lower: UnitLowerTriangular, tri: SymmetricTridiagonal) -> SymmetricMatrix:
-    """Full product L T L^T, symmetrized as (M + M^T)/2 to kill roundoff skew.
+def working_matrix(lower: UnitLowerTriangular, tri: SymmetricTridiagonal) -> np.ndarray:
+    """Aasen's working matrix H = T L^T, upper Hessenberg, from T's band and L's strict part.
 
-    Where M + M^T overflows, the symmetrization is M/2 + M^T/2 instead.
-    Raises OverflowError when the product itself leaves the double range.
+    Row i of H combines three rows of L^T, with d and e the diagonal and
+    off-diagonal of T:
+
+      h[i,k] = (d_i l[k,i] + e_(i-1) l[k,i-1]) + e_i l[k,i+1]
+
+    in that order (0-based; a term whose e index leaves 0..n-2 is absent, and
+    l[k,k] = 1).  The band products run on the strict part of L, so on the
+    three central diagonals of H they add a zero where the formula has a
+    unit term; that term, d_i, e_(i-1) or e_i itself, is added last, and
+    every entry equals the formula's up to the sign of a zero.  O(n^2)
+    elementwise work: no dense T and no BLAS call, so the bits do not depend
+    on the BLAS kernel.  Entries below the subdiagonal are signed zeros.
     """
     if lower.n != tri.n:
         raise ValueError(f"dimension mismatch: L is {lower.n}, T is {tri.n}")
-    lf = lower.full()
+    n, d, e = tri.n, tri.diag, tri.offdiag
+    u = lower.strict.T  # strict part of L^T: row i holds l[k,i]
+    h = np.multiply(d[:, None], u, order="C")
+    band = np.empty(u[1:].shape)
+    h[1:] += np.multiply(e[:, None], u[:-1], out=band)
+    h[:-1] += np.multiply(e[:, None], u[1:], out=band)
+    flat = h.reshape(-1)
+    flat[n :: n + 1] += e  # subdiagonal: e_(i-1) l[i-1,i-1]
+    flat[1 :: n + 1] += e  # superdiagonal: e_i l[i+1,i+1]
+    flat[:: n + 1] += d  # diagonal: d_i l[i,i]
+    return h
+
+
+def assemble(lower: UnitLowerTriangular, tri: SymmetricTridiagonal) -> SymmetricMatrix:
+    """Full product L T L^T = L H, with H = T L^T from working_matrix().
+
+    L H is formed as (strict part of L) H + H, one dense product, and
+    symmetrized as (M + M^T)/2 to kill roundoff skew.  Where M + M^T
+    overflows, the symmetrization is M/2 + M^T/2 instead.  Raises
+    OverflowError when the product itself leaves the double range.
+    """
     # overflow near the top of the double range is reported once, below
     with np.errstate(over="ignore", invalid="ignore"):
-        m = lf @ tri.full() @ lf.T
-        sym = (m + m.T) / 2.0
+        h = working_matrix(lower, tri)
+        m = lower.strict @ h
+        m += h
+        del h  # each n x n array is dropped once dead, to keep the peak at two
+        sym = np.add(m, m.T)
+        sym /= 2.0
         if not np.isfinite(sym).all():
-            sym = m / 2.0 + m.T / 2.0
+            m /= 2.0
+            np.add(m, m.T, out=sym)
             if not np.isfinite(sym).all():
                 raise OverflowError("L T L^T overflows the double range (non-finite product entry)")
+        del m
     return SymmetricMatrix(sym)
 
 
@@ -210,9 +253,12 @@ def residual(
     lower: UnitLowerTriangular,
     tri: SymmetricTridiagonal,
 ) -> float:
-    """Max-abs entry of P A P^T - L T L^T.
+    """Max-abs entry of P A P^T - L T L^T, with L T L^T from assemble().
 
     Raises OverflowError, through assemble(), when L T L^T is not representable.
     """
-    diff = permute_sym(a, perm).entries - assemble(lower, tri).entries
-    return float(np.max(np.abs(diff)))
+    _check_perm(a, perm)
+    ltl = assemble(lower, tri).entries
+    diff = a.entries[np.ix_(perm.p, perm.p)]
+    diff -= ltl
+    return float(np.max(np.abs(diff, out=diff)))

@@ -12,7 +12,9 @@ maximize_growth_scalar runs the restarts one after another through
 pattern_search_scalar, which scores each probe on its own through factorize;
 it shares only the step constants of ltlt.search and the sweep itself.
 certificate_rows_scalar builds the growth certificate one labelled row at a
-time, sharing only the dense H = T L^T product with growth.growth_certificate.
+time, forming each entry of H = T L^T it needs in Python floats from T's
+band, in the order matcore.working_matrix documents; it shares no code with
+growth.growth_certificate, and no BLAS call.
 """
 import itertools
 from typing import List, NamedTuple
@@ -148,36 +150,47 @@ def certificate_rows_scalar(a, f):
     """Reference certificate rows [(label, lhs, bound, margin)], one at a time.
 
     Same rows, order and Python-float arithmetic as growth.growth_certificate
-    documents; the caller rejects the zero matrix.
+    documents; the caller rejects the zero matrix.  Entry h[i,k] of
+    H = T L^T (0-based) is (d_i l[k,i] + e_(i-1) l[k,i-1]) + e_i l[k,i+1],
+    summed in that order over the terms that exist, with l[k,k] = 1.
     """
     m = max_abs(a)
     n = f.n
-    diag = f.T.diag / m
-    off = f.T.offdiag / m
+    d = f.T.diag.tolist()
+    e = f.T.offdiag.tolist()
+    strict = f.L.strict.tolist()
     rows = []
 
     def add(label, lhs, bound):
-        lhs = float(lhs)
+        lhs = abs(lhs / m)
         rows.append((label, lhs, bound, bound - lhs))
 
-    add("t[1,1]", abs(diag[0]), 1.0)
+    def l(k, i):
+        return 1.0 if k == i else strict[k][i]
+
+    def h(i, k):
+        acc = d[i] * l(k, i)
+        if i > 0:
+            acc += e[i - 1] * l(k, i - 1)
+        if i < n - 1:
+            acc += e[i] * l(k, i + 1)
+        return acc
+
+    add("t[1,1]", d[0], 1.0)
     if n >= 2:
-        add("t[2,1]", abs(off[0]), 1.0)
-        add("t[2,2]", abs(diag[1]), 1.0)
+        add("t[2,1]", e[0], 1.0)
+        add("t[2,2]", d[1], 1.0)
 
     if n >= 3:
-        lf = f.L.full()
-        h = (f.T.full() @ lf.T) / m
-
         for i in range(3, n + 1):
-            add(f"h[1,{i}]", abs(h[0, i - 1]), 1.0)
+            add(f"h[1,{i}]", h(0, i - 1), 1.0)
         for j in range(2, n + 1):
             for i in range(j + 1, n + 1):
-                add(f"h[{j},{i}]", abs(h[j - 1, i - 1]), 2.0 ** (j - 2))
-        add(f"h[{n},{n}]", abs(h[n - 1, n - 1]), 2.0 ** (n - 2))
+                add(f"h[{j},{i}]", h(j - 1, i - 1), 2.0 ** (j - 2))
+        add(f"h[{n},{n}]", h(n - 1, n - 1), 2.0 ** (n - 2))
         for i in range(3, n + 1):
-            add(f"t[{i},{i - 1}]", abs(off[i - 2]), 2.0 ** (i - 2))
-            add(f"t[{i},{i}]", abs(diag[i - 1]), 2.0 ** (i - 1))
+            add(f"t[{i},{i - 1}]", e[i - 2], 2.0 ** (i - 2))
+            add(f"t[{i},{i}]", d[i - 1], 2.0 ** (i - 1))
     return rows
 
 

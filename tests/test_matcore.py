@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from _helpers import assemble_triple_loop, rand_sym
 from ltlt.aasen import factorize, solve, tridiag_solve
 from ltlt.extremal import extremal_matrix
+from ltlt.growth import growth_certificate
 from ltlt.matcore import (
     PermutationVector,
     SymmetricMatrix,
@@ -15,6 +18,7 @@ from ltlt.matcore import (
     max_abs,
     permute_sym,
     residual,
+    working_matrix,
 )
 
 
@@ -85,27 +89,73 @@ def test_assemble_extremal_n4():
     assert np.max(np.abs(out.entries - ex.A.entries)) <= 1e-14
 
 
-def test_assemble_matches_triple_loop():
-    rng = np.random.default_rng(5)
-    n = 6
+def _rand_factors(rng, n):
+    """Random L (first column e_1, |l_ij| <= 1) and T with entries in [-2, 2]."""
     strict = np.tril(rng.uniform(-1, 1, (n, n)), -1)
     strict[1:, 0] = 0.0
-    lower = UnitLowerTriangular(strict)
-    tri = SymmetricTridiagonal(rng.uniform(-2, 2, n), rng.uniform(-2, 2, n - 1))
+    tri = SymmetricTridiagonal(rng.uniform(-2, 2, n), rng.uniform(-2, 2, max(n - 1, 0)))
+    return UnitLowerTriangular(strict), tri
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_assemble_matches_triple_loop(n):
+    lower, tri = _rand_factors(np.random.default_rng(5), n)  # n = 6 is the original case
     got = assemble(lower, tri).entries
     want = assemble_triple_loop(lower.full(), tri.diag, tri.offdiag)
     assert np.max(np.abs(got - want)) <= 1e-13
 
 
+def _working_matrix_cases():
+    rng = np.random.default_rng(7)
+    for n in range(1, 61):
+        yield _rand_factors(rng, n)
+    for n, deltas in ((4, (0.1, 0.5, 1.0, 2.0)), (5, (0.1, 0.25, 1.0)), (6, (0.4, 0.6, 0.8))):
+        for delta in deltas:
+            ref = extremal_matrix(n, delta).ref
+            yield ref.L, ref.T
+
+
+def test_working_matrix_matches_dense_product():
+    eps = np.finfo(float).eps
+    for lower, tri in _working_matrix_cases():
+        h = working_matrix(lower, tri)
+        dense = tri.full() @ lower.full().T
+        assert h.shape == dense.shape and h.flags.c_contiguous
+        assert np.max(np.abs(h - dense)) <= 8 * eps * tri.max_abs()
+        # upper Hessenberg: every entry below the subdiagonal is a zero
+        assert not np.any(np.tril(h, -2))
+
+
+def _traced_peak(call) -> int:
+    """Bytes a call allocates at its peak beyond what was live before it."""
+    call()  # first-call caches and imports stay out of the measurement
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("stage, budget", [("factorize", 4), ("certificate", 3), ("residual", 3)])
+def test_dense_stages_stay_within_memory_budget(stage, budget):
+    # budget in n x n arrays of doubles: n x n temporaries that hold no
+    # result (np.eye, np.triu and np.abs copies, a dense T) go over it
+    n = 300
+    a = rand_sym(np.random.default_rng(8), n)
+    f = factorize(a)
+    call = {
+        "factorize": lambda: factorize(a),
+        "certificate": lambda: growth_certificate(a, f),
+        "residual": lambda: residual(a, f.p, f.L, f.T),
+    }[stage]
+    assert _traced_peak(call) <= budget * 8 * n * n
+
+
 def test_assemble_exactly_symmetric():
-    rng = np.random.default_rng(6)
-    n = 7
-    strict = np.tril(rng.uniform(-1, 1, (n, n)), -1)
-    strict[1:, 0] = 0.0
-    out = assemble(
-        UnitLowerTriangular(strict),
-        SymmetricTridiagonal(rng.uniform(-2, 2, n), rng.uniform(-2, 2, n - 1)),
-    )
+    out = assemble(*_rand_factors(np.random.default_rng(6), 7))
     assert np.array_equal(out.entries, out.entries.T)
 
 
