@@ -5,22 +5,23 @@ cannot be read or decoded, or an output path that cannot be written),
 2 domain error (validity window, an lp or search dimension outside
 3..MAX_N, a factorization or a certificate bound overflowing the double
 range), 3 internal invariant violation (a failing certificate, which
-should never occur).  Every successful invocation, and a failing
-certificate, prints one JSON report validating against REPORT_SCHEMA, on
-one line.  A table in a report (the certificate's rows) is one object of
-equal-length arrays, one per field of the row type.
+should never occur, or an extremal example whose fresh factorization
+misses the family's growth by more than extremal.GROWTH_REL_TOL).  Every
+successful invocation, and every exit 3, prints one JSON report
+validating against REPORT_SCHEMA, on one line.  A table in a report (the
+certificate's rows) is one object of equal-length arrays, one per field
+of the row type.
 
 At module level this imports only the standard library and the pure-Python
 lpcert, which also defines DomainError and MAX_N.  The numerical modules,
 and so numpy, load inside the functions that use them, so ``ltlt lp`` and a
-usage error never import numpy.  ``factor``, ``certify`` and ``search
---warm`` read and parse their input file before those imports, so a file
-that cannot be read or parsed does not load numpy either.
+usage error never import numpy; argparse and json load there too, so
+``import ltlt.cli`` alone loads neither.  ``factor``, ``certify`` and
+``search --warm`` read and parse their input file before those imports, so
+a file that cannot be read or parsed does not load numpy either.
 """
 from __future__ import annotations
 
-import argparse
-import json
 import math
 import sys
 from pathlib import Path
@@ -29,10 +30,12 @@ from typing import TYPE_CHECKING
 from .lpcert import MAX_N, DomainError, build_program, solve_lp
 
 if TYPE_CHECKING:
+    import argparse
+
     from .growth import GrowthCertificate
     from .matcore import SymmetricMatrix
 
-SCHEMA_VERSION = "4"
+SCHEMA_VERSION = "5"
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -127,6 +130,7 @@ REPORT_SCHEMA = {
                         "reference_growth": _NUM,
                         "recomputed_residual": _NUM,
                         "recomputed_growth": _NUM,
+                        "growth_rel_diff": _NUM,
                         "certificates_pass": {"type": "boolean"},
                         "matrix_file": {"type": "string"},
                     },
@@ -265,6 +269,8 @@ def _write_report(
         "inputs": inputs,
         "outputs": outputs,
     }
+    import json
+
     # no indent: json's C encoder only runs on compact output
     text = json.dumps(report, allow_nan=False) + "\n"
     if out:
@@ -333,7 +339,7 @@ def cmd_lp(args) -> int:
 
 
 def cmd_examples(args) -> int:
-    from .extremal import extremal_matrix, verify_example
+    from .extremal import GROWTH_REL_TOL, extremal_matrix, verify_example
 
     ex = extremal_matrix(args.n, args.delta)
     report = verify_example(ex)
@@ -341,19 +347,24 @@ def cmd_examples(args) -> int:
     matrix_path = out_dir / f"extremal_n{args.n}_delta{args.delta!r}.txt"
     _write_text(matrix_path, emit_matrix(ex.A), parents=True)
     both_pass = report.reference_certificate.all_pass and report.recomputed_certificate.all_pass
+    recomputed = report.recomputed_certificate.rho
+    rel_diff = abs(recomputed - ex.expected_growth) / ex.expected_growth
     outputs = {
         "example": {
             "expected_growth": ex.expected_growth,
             "reference_residual": report.reference_residual,
             "reference_growth": report.reference_certificate.rho,
             "recomputed_residual": report.recomputed_residual,
-            "recomputed_growth": report.recomputed_certificate.rho,
+            "recomputed_growth": recomputed,
+            "growth_rel_diff": rel_diff,
             "certificates_pass": both_pass,
             "matrix_file": str(matrix_path),
         }
     }
     inputs = {"n": args.n, "delta": args.delta, "out_dir": str(out_dir)}
-    return _write_report("examples", inputs, outputs, None, both_pass)
+    # a fresh factorization that misses the family's growth fails like a certificate
+    passed = both_pass and rel_diff <= GROWTH_REL_TOL
+    return _write_report("examples", inputs, outputs, None, passed)
 
 
 def cmd_search(args) -> int:
@@ -381,18 +392,19 @@ def cmd_search(args) -> int:
     return _write_report("search", inputs, outputs, args.out)
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse that reports usage problems via exit code 1, not 2."""
-
-    def error(self, message):
-        raise _UsageError(message)
-
-
 class _UsageError(Exception):
     pass
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        """argparse that reports usage problems via exit code 1, not 2."""
+
+        def error(self, message):
+            raise _UsageError(message)
+
     parser = _Parser(prog="ltlt", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 

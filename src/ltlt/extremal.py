@@ -28,6 +28,13 @@ from .matcore import (
 
 SUPPORTED_N = (4, 5, 6)
 
+# Largest relative difference between the growth of a fresh factorization
+# and the family's closed form that still verifies an example.  Over the
+# tests' window grids the largest difference is 4.2e-14; near delta = 0 for
+# n = 4 and 5 it grows as about eps / delta, because the stored entries no
+# longer resolve delta (2.2e-7 at delta = 1e-9 for n = 4, 0.75 at 1e-16).
+GROWTH_REL_TOL = 1e-9
+
 # (lower, upper, window_text, binding_entry_text); extremal_matrix also
 # rejects the deltas that zero an off-diagonal of the reference T
 _WINDOWS = {

@@ -6,8 +6,10 @@ matrix H = T L^T, and on the trailing rows of T.  All bounds are taken
 relative to the largest entry magnitude of the input matrix.
 
 The bounds are evaluated as two arrays, left-hand sides and bounds, in a
-fixed row order.  The row labels are built only when asked for
-(``GrowthCertificate.labels``); ``worst()`` returns one labelled row.
+fixed row order.  A certificate stores the left-hand sides; the bounds and
+the row labels depend on n alone and are built only when asked for
+(``GrowthCertificate.bound`` and ``.labels``); ``worst()`` returns one
+labelled row.
 """
 from __future__ import annotations
 
@@ -19,7 +21,7 @@ import numpy as np
 
 from .aasen import AasenFactors
 from .lpcert import MAX_N, DomainError
-from .matcore import SymmetricMatrix, _frozen, _value_eq, max_abs, working_matrix
+from .matcore import _BLOCK, SymmetricMatrix, _frozen, _value_eq, max_abs, working_matrix
 
 # A check row may undershoot its bound by this much before failing; absorbs
 # roundoff accumulation across dimensions up to ~50.
@@ -41,20 +43,30 @@ class CheckRow(NamedTuple):
 class GrowthCertificate:
     """Instantiated entrywise bounds for one factorization.
 
-    Row k checks ``lhs[k] <= bound[k]``; both arrays are read-only and in
-    the row order documented on growth_certificate().
+    Row k checks ``lhs[k] <= bound[k]``, in the row order documented on
+    growth_certificate().  Only ``lhs`` is stored: ``bound``, like
+    ``labels``, depends on n alone and is built on first access.  Both
+    arrays are read-only; an ``lhs`` that is not already a read-only array
+    is copied first.
     """
 
     rho: float
     lhs: np.ndarray
-    bound: np.ndarray
     all_pass: bool
     n: int
     __eq__ = _value_eq
 
     def __post_init__(self):
-        object.__setattr__(self, "lhs", _frozen(self.lhs))
-        object.__setattr__(self, "bound", _frozen(self.bound))
+        lhs = self.lhs
+        if not isinstance(lhs, np.ndarray) or lhs.flags.writeable:
+            object.__setattr__(self, "lhs", _frozen(lhs))
+
+    @cached_property
+    def bound(self) -> np.ndarray:
+        """Row bounds, read-only: 1 or a power of two, in the row order of ``lhs``."""
+        bound = _bounds(self.n)
+        bound.setflags(write=False)
+        return bound
 
     @cached_property
     def labels(self) -> List[str]:
@@ -127,37 +139,51 @@ def growth_certificate(a: SymmetricMatrix, f: AasenFactors) -> GrowthCertificate
     if n > MAX_N:
         raise OverflowError(f"certificate needs n <= {MAX_N} (2^(n-1) overflows a double), got {n}")
     d, e = f.T.diag, f.T.offdiag
-    pow2 = np.array([2.0 ** k for k in range(n)])
-
     lead = [d[0], e[0], d[1]] if n >= 2 else [d[0]]
-    lhs = [lead]
-    bound = [np.ones(len(lead))]
-
-    if n >= 3:
-        h = working_matrix(f.L, f.T)
+    if n < 3:
+        lhs = np.array(lead)
+    else:
         # h[1,i] for i >= 3, then h[j,i] for 2 <= j < i, row-major: the strict
-        # upper triangle of H without h[1,2], which is t[2,1]
-        upper = np.arange(n) > np.arange(n)[:, None]
-        upper[0, 1] = False
-        lhs += [h[upper], [h[n - 1, n - 1]], np.column_stack((e[1:], d[2:])).ravel()]
-        del h, upper  # free the n x n arrays before the bounds are built
-        # row j < n of H has n - j entries right of the diagonal, bounded by 1
-        # in row 1 (less h[1,2]) and by 2^(j-2) from row 2 on
-        counts = np.arange(n - 1, 0, -1)
-        counts[0] -= 1
-        bound += [
-            np.repeat(np.concatenate(([1.0], pow2[: n - 2])), counts),
-            pow2[n - 2 : n - 1],
-            np.column_stack((pow2[1 : n - 1], pow2[2:])).ravel(),
-        ]
-
-    lhs = np.concatenate(lhs)
+        # upper triangle of H without h[1,2], which is t[2,1].  lhs is made
+        # before H, and H's rows are gathered into it in blocks of _BLOCK, so
+        # the certificate's array does not land in H's space once H is freed
+        k = n * (n - 1) // 2 - 1
+        lhs = np.empty(3 + k + 1 + 2 * (n - 2))
+        lhs[:3] = lead
+        h = working_matrix(f.L, f.T)
+        pos, cols = 3, np.arange(n)
+        for r0 in range(0, n - 1, _BLOCK):
+            upper = cols > np.arange(r0, min(r0 + _BLOCK, n - 1))[:, None]
+            if r0 == 0:
+                upper[0, 1] = False
+            rows = h[r0 : r0 + len(upper)][upper]
+            lhs[pos : pos + rows.size] = rows
+            pos += rows.size
+        lhs[pos] = h[n - 1, n - 1]
+        del h
+        lhs[pos + 1 :] = np.column_stack((e[1:], d[2:])).ravel()
     lhs /= m
     np.abs(lhs, out=lhs)
-    bound = np.concatenate(bound)
-    all_pass = bool(np.all(bound - lhs >= -MARGIN_TOL))
+    lhs.setflags(write=False)  # fresh, so the certificate keeps it without a copy
+    margin = _bounds(n)
+    margin -= lhs
+    all_pass = bool(np.all(margin >= -MARGIN_TOL))
     rho = f.T.max_abs() / m  # growth_factor(a, f) without a second scan of A
-    return GrowthCertificate(rho=rho, lhs=lhs, bound=bound, all_pass=all_pass, n=n)
+    return GrowthCertificate(rho=rho, lhs=lhs, all_pass=all_pass, n=n)
+
+
+def _bounds(n: int) -> np.ndarray:
+    """The bound of every certificate row, in growth_certificate()'s row order."""
+    if n < 3:
+        return np.ones(2 * n - 1)
+    pow2 = np.array([2.0 ** k for k in range(n)])
+    # 1 for t11, t21, t22 and the n - 2 rows h[1,i]; 2^(j-2) for the n - j
+    # rows h[j,i] of 2 <= j < n; 2^(n-2) for h[n,n]; then 2^(i-2) and 2^(i-1)
+    # for t[i,i-1] and t[i,i], 3 <= i <= n.  One np.repeat, no joined pieces
+    pairs = np.column_stack((pow2[1 : n - 1], pow2[2:])).ravel()
+    values = np.concatenate(([1.0], pow2[: n - 1], pairs))
+    counts = np.concatenate(([n + 1], np.arange(n - 2, 0, -1), [1], np.ones(2 * n - 4, np.intp)))
+    return np.repeat(values, counts)
 
 
 def bound_table(n: int) -> BoundTable:

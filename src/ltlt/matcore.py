@@ -176,8 +176,13 @@ class SymmetricTridiagonal:
 
 
 def max_abs(a: SymmetricMatrix) -> float:
-    """Largest entry magnitude; zero only for the zero matrix."""
-    return float(np.max(np.abs(a.entries)))
+    """Largest entry magnitude; zero only for the zero matrix.
+
+    Read as max(max a_ij, -min a_ij), with no |A| array; abs() turns the
+    -0.0 of an all-zero matrix into 0.0.
+    """
+    e = a.entries
+    return abs(float(max(e.max(), -e.min())))
 
 
 def _check_perm(a: SymmetricMatrix, perm: PermutationVector):
@@ -189,6 +194,25 @@ def permute_sym(a: SymmetricMatrix, perm: PermutationVector) -> SymmetricMatrix:
     """Symmetric permutation: result[i, j] = a[p[i], p[j]]."""
     _check_perm(a, perm)
     return SymmetricMatrix(a.entries[np.ix_(perm.p, perm.p)])
+
+
+
+
+# Rows or columns per block of the blocked passes below.  A block's buffers
+# are a small share of one n x n array at the sizes where memory matters
+# (64 / 500 at n = 500), and numpy's per-call cost stays hidden.
+_BLOCK = 64
+
+# The last column block of L H spans at least this many columns.  OpenBLAS
+# computes a column of a product with the same arithmetic whether the call
+# covers the whole product or a block, except that a trailing block narrower
+# than 196 columns changed the bits of its last n mod 8 columns under the
+# SkylakeX kernel.  With this floor the blocked product was bit-equal to the
+# one-shot product under the SkylakeX, Haswell and Prescott kernels for every
+# n <= 300 and for sampled n up to 1200, with a single-threaded BLAS.  A
+# multithreaded BLAS splits a product between its threads, so from n ~ 260
+# on the bits of either product depend on the thread count.
+_LAST_BLOCK_MIN = 196
 
 
 def working_matrix(lower: UnitLowerTriangular, tri: SymmetricTridiagonal) -> np.ndarray:
@@ -205,16 +229,20 @@ def working_matrix(lower: UnitLowerTriangular, tri: SymmetricTridiagonal) -> np.
     unit term; that term, d_i, e_(i-1) or e_i itself, is added last, and
     every entry equals the formula's up to the sign of a zero.  O(n^2)
     elementwise work: no dense T and no BLAS call, so the bits do not depend
-    on the BLAS kernel.  Entries below the subdiagonal are signed zeros.
+    on the BLAS kernel.  The two band products pass through one buffer of
+    _BLOCK rows.  Entries below the subdiagonal are signed zeros.
     """
     if lower.n != tri.n:
         raise ValueError(f"dimension mismatch: L is {lower.n}, T is {tri.n}")
     n, d, e = tri.n, tri.diag, tri.offdiag
     u = lower.strict.T  # strict part of L^T: row i holds l[k,i]
     h = np.multiply(d[:, None], u, order="C")
-    band = np.empty(u[1:].shape)
-    h[1:] += np.multiply(e[:, None], u[:-1], out=band)
-    h[:-1] += np.multiply(e[:, None], u[1:], out=band)
+    band = np.empty((min(_BLOCK, n), n))
+    for r0 in range(0, n, _BLOCK):
+        r1 = min(r0 + _BLOCK, n)
+        lo, hi = max(r0, 1), min(r1, n - 1)  # rows lo..r1-1 have an e_(i-1), rows r0..hi-1 an e_i
+        h[lo:r1] += np.multiply(e[lo - 1 : r1 - 1, None], u[lo - 1 : r1 - 1], out=band[: r1 - lo])
+        h[r0:hi] += np.multiply(e[r0:hi, None], u[r0 + 1 : hi + 1], out=band[: hi - r0])
     flat = h.reshape(-1)
     flat[n :: n + 1] += e  # subdiagonal: e_(i-1) l[i-1,i-1]
     flat[1 :: n + 1] += e  # superdiagonal: e_i l[i+1,i+1]
@@ -222,28 +250,61 @@ def working_matrix(lower: UnitLowerTriangular, tri: SymmetricTridiagonal) -> np.
     return h
 
 
+def _product(lower: UnitLowerTriangular, tri: SymmetricTridiagonal) -> np.ndarray:
+    """M = L H, with H = T L^T from working_matrix(): L T L^T before symmetrization.
+
+    M is (strict part of L) H + H, written over H one column block at a
+    time, since column block c of M reads only column block c of H.  Blocks
+    are _BLOCK columns wide but the last, which spans at least
+    _LAST_BLOCK_MIN columns (so for n < 260 there is one block), and pass
+    through one buffer the size of the last block.  Overflow is left in M
+    as inf or nan, for _symmetric_rows() to report.
+    """
+    h = working_matrix(lower, tri)
+    n = h.shape[0]
+    last = max(0, (n - _LAST_BLOCK_MIN) // _BLOCK) * _BLOCK
+    edges = [*range(0, last, _BLOCK), last, n]
+    buf = np.empty(n * (n - last))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for c0, c1 in zip(edges, edges[1:]):
+            cols = h[:, c0:c1]
+            # a C-contiguous block: numpy copies a strided operand of += first
+            out = np.matmul(lower.strict, cols, out=buf[: n * (c1 - c0)].reshape(n, c1 - c0))
+            out += cols
+            cols[...] = out
+    return h
+
+
+def _symmetric_rows(m: np.ndarray, r0: int, r1: int) -> np.ndarray:
+    """Rows r0:r1 of (M + M^T)/2, the roundoff skew of M averaged away.
+
+    Where M + M^T overflows in these rows, they are M/2 + M^T/2 instead.
+    Raises OverflowError when that overflows too, that is when L T L^T
+    itself leaves the double range.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = np.add(m[r0:r1], m[:, r0:r1].T)
+        rows /= 2.0
+        if not np.isfinite(rows).all():
+            np.add(m[r0:r1] / 2.0, m[:, r0:r1].T / 2.0, out=rows)
+            if not np.isfinite(rows).all():
+                raise OverflowError("L T L^T overflows the double range (non-finite product entry)")
+    return rows
+
+
 def assemble(lower: UnitLowerTriangular, tri: SymmetricTridiagonal) -> SymmetricMatrix:
     """Full product L T L^T = L H, with H = T L^T from working_matrix().
 
-    L H is formed as (strict part of L) H + H, one dense product, and
-    symmetrized as (M + M^T)/2 to kill roundoff skew.  Where M + M^T
-    overflows, the symmetrization is M/2 + M^T/2 instead.  Raises
-    OverflowError when the product itself leaves the double range.
+    L H is formed over H in column blocks, as residual() forms it, and
+    symmetrized as (M + M^T)/2 in row blocks; rows where M + M^T overflows
+    are M/2 + M^T/2 instead.  Raises OverflowError when the product itself
+    leaves the double range.
     """
-    # overflow near the top of the double range is reported once, below
-    with np.errstate(over="ignore", invalid="ignore"):
-        h = working_matrix(lower, tri)
-        m = lower.strict @ h
-        m += h
-        del h  # each n x n array is dropped once dead, to keep the peak at two
-        sym = np.add(m, m.T)
-        sym /= 2.0
-        if not np.isfinite(sym).all():
-            m /= 2.0
-            np.add(m, m.T, out=sym)
-            if not np.isfinite(sym).all():
-                raise OverflowError("L T L^T overflows the double range (non-finite product entry)")
-        del m
+    m = _product(lower, tri)
+    sym = np.empty_like(m)
+    for r0 in range(0, m.shape[0], _BLOCK):
+        sym[r0 : r0 + _BLOCK] = _symmetric_rows(m, r0, r0 + _BLOCK)
+    del m  # the SymmetricMatrix copy is made with only sym alive
     return SymmetricMatrix(sym)
 
 
@@ -253,12 +314,20 @@ def residual(
     lower: UnitLowerTriangular,
     tri: SymmetricTridiagonal,
 ) -> float:
-    """Max-abs entry of P A P^T - L T L^T, with L T L^T from assemble().
+    """Max-abs entry of P A P^T - L T L^T, with L T L^T as assemble() forms it.
 
-    Raises OverflowError, through assemble(), when L T L^T is not representable.
+    After the product, each block of _BLOCK rows is symmetrized, gathered
+    from P A P^T and subtracted on its own, so no n x n array beyond L H is
+    made.  Raises OverflowError when L T L^T is not representable.
     """
     _check_perm(a, perm)
-    ltl = assemble(lower, tri).entries
-    diff = a.entries[np.ix_(perm.p, perm.p)]
-    diff -= ltl
-    return float(np.max(np.abs(diff, out=diff)))
+    if lower.n != a.n:
+        raise ValueError(f"dimension mismatch: A is {a.n}, L is {lower.n}")
+    m = _product(lower, tri)
+    p = perm.p
+    worst = 0.0
+    for r0 in range(0, a.n, _BLOCK):
+        diff = a.entries[np.ix_(p[r0 : r0 + _BLOCK], p)]
+        diff -= _symmetric_rows(m, r0, r0 + _BLOCK)
+        worst = max(worst, float(np.max(np.abs(diff, out=diff))))
+    return worst

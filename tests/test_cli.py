@@ -20,7 +20,7 @@ from ltlt.cli import (
     main,
     parse_matrix,
 )
-from ltlt.extremal import extremal_matrix
+from ltlt.extremal import GROWTH_REL_TOL, extremal_matrix
 from ltlt.growth import MARGIN_TOL, CheckRow, growth_factor
 from ltlt.lpcert import min_delta, solve_lp
 from ltlt.matcore import SymmetricMatrix
@@ -37,7 +37,7 @@ def check_report(out: str) -> dict:
     every table's columns have one length."""
     report = json.loads(out)
     jsonschema.validate(report, REPORT_SCHEMA)
-    assert report["schema_version"] == "4"
+    assert report["schema_version"] == "5"
     assert "rule" not in report["inputs"]
     table = report["outputs"].get("certificate", {}).get("rows")
     if table is not None:
@@ -326,6 +326,38 @@ def test_cmd_examples_non_finite_delta(tmp_path, capsys, n, delta):
     assert (code, out) == (EXIT_DOMAIN, "")
     assert err == f"error: delta must be a finite number, got {delta}\n"
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("n, delta", [("4", "0.5"), ("5", "0.25"), ("6", "0.4")])
+def test_cmd_examples_bench_deltas_recompute_the_family(tmp_path, capsys, n, delta):
+    ex = report_of(capsys, "examples", "--n", n, "--delta", delta, "--out", str(tmp_path))
+    ex = ex["outputs"]["example"]
+    assert ex["certificates_pass"] is True
+    assert ex["growth_rel_diff"] <= GROWTH_REL_TOL
+
+
+@pytest.mark.parametrize(
+    "n, delta, recomputed",
+    [
+        # delta/2 - 1 rounds to -1.0, so the stored matrix leaves the family
+        ("4", "1e-16", 2.0),
+        # next to the degenerate delta = 1/2, rounding breaks the family's ties
+        ("6", "0.499999999999", 6.497),
+    ],
+)
+def test_cmd_examples_fails_when_the_recomputed_growth_misses(
+    tmp_path, capsys, n, delta, recomputed
+):
+    # both certificates pass, so only the growth check fails the verdict
+    code, out, err = run_cli(capsys, "examples", "--n", n, "--delta", delta, "--out", str(tmp_path))
+    assert (code, err) == (EXIT_INTERNAL, "")
+    report = check_report(out)
+    ex = report["outputs"]["example"]
+    assert report["status"] == "invariant-violation"
+    assert ex["certificates_pass"] is True
+    assert abs(ex["recomputed_growth"] - recomputed) <= 1e-3
+    rel = abs(ex["recomputed_growth"] - ex["expected_growth"]) / ex["expected_growth"]
+    assert ex["growth_rel_diff"] == rel > GROWTH_REL_TOL
 
 
 def test_cmd_examples_n5_midpoint(tmp_path, capsys):

@@ -7,6 +7,7 @@ from ltlt.extremal import extremal_matrix
 from ltlt.growth import (
     MARGIN_TOL,
     MAX_N,
+    GrowthCertificate,
     UndefinedGrowthError,
     bound_table,
     growth_certificate,
@@ -219,6 +220,13 @@ def test_certificate_arrays_are_read_only():
         cert.lhs[0] = 0.0
     with pytest.raises(ValueError):
         cert.bound[0] = 0.0
+    # bound, like labels, depends on n alone: built on first access, not stored
+    assert "bound" not in GrowthCertificate.__dataclass_fields__
+    assert cert.bound is cert.bound
+    # a caller's writeable lhs is copied, not frozen under the caller
+    lhs = np.array(cert.lhs)
+    mine = GrowthCertificate(rho=cert.rho, lhs=lhs, all_pass=cert.all_pass, n=cert.n)
+    assert lhs.flags.writeable and mine.lhs is not lhs and mine == cert
 
 
 def test_growth_scale_invariance():

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -21,6 +24,9 @@ from ltlt.matcore import (
     working_matrix,
 )
 
+TESTS = os.path.dirname(os.path.abspath(__file__))
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
 
 def test_max_abs_identity():
     assert max_abs(SymmetricMatrix(np.eye(3))) == 1.0
@@ -28,6 +34,8 @@ def test_max_abs_identity():
 
 def test_max_abs_zero():
     assert max_abs(SymmetricMatrix(np.zeros((2, 2)))) == 0.0
+    # max(a.max(), -a.min()) reads -0.0 on a matrix of negative zeros
+    assert not np.signbit(max_abs(SymmetricMatrix(-np.zeros((2, 2)))))
 
 
 def test_max_abs_extremal_n6():
@@ -139,10 +147,14 @@ def _traced_peak(call) -> int:
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("stage, budget", [("factorize", 4), ("certificate", 3), ("residual", 3)])
+@pytest.mark.parametrize(
+    "stage, budget", [("factorize", 4), ("certificate", 2), ("residual", 2), ("max_abs", 0.01)]
+)
 def test_dense_stages_stay_within_memory_budget(stage, budget):
     # budget in n x n arrays of doubles: n x n temporaries that hold no
-    # result (np.eye, np.triu and np.abs copies, a dense T) go over it
+    # result (np.eye, np.triu and np.abs copies, a dense T, a second copy of
+    # the certificate's rows, a whole symmetrized product or its difference
+    # with P A P^T) go over it
     n = 300
     a = rand_sym(np.random.default_rng(8), n)
     f = factorize(a)
@@ -150,8 +162,75 @@ def test_dense_stages_stay_within_memory_budget(stage, budget):
         "factorize": lambda: factorize(a),
         "certificate": lambda: growth_certificate(a, f),
         "residual": lambda: residual(a, f.p, f.L, f.T),
+        "max_abs": lambda: max_abs(a),
     }[stage]
     assert _traced_peak(call) <= budget * 8 * n * n
+
+
+def test_dense_op_stays_within_memory_budget():
+    # one op as the benchmark runs it: the factors and the certificate stay
+    # alive through the residual and the solve.  The op peaks at 3.4 n x n
+    # arrays beyond A (3.35 of them in factorize), where holding a whole
+    # second product in the residual took it to 4.2
+    n = 300
+    a = rand_sym(np.random.default_rng(8), n)
+    b = np.random.default_rng(9).uniform(-1.0, 1.0, n)
+
+    def op():
+        f = factorize(a)
+        cert = growth_certificate(a, f)
+        return f, cert, residual(a, f.p, f.L, f.T), solve(f, b)
+
+    assert _traced_peak(op) <= 3.5 * 8 * n * n
+
+
+def _assert_lh_path_matches_reference(a, perm, lower, tri):
+    """assemble and residual against the whole-matrix products, bit for bit."""
+    h = working_matrix(lower, tri)
+    m = lower.strict @ h + h
+    sym = (m + m.T) / 2
+    want = np.max(np.abs(a.entries[np.ix_(perm.p, perm.p)] - sym))
+    assert assemble(lower, tri).entries.tobytes() == sym.tobytes()
+    assert np.float64(residual(a, perm, lower, tri)).tobytes() == want.tobytes()
+
+
+def _lh_path_cases():
+    for n in (1, 2, 63, 64, 65, 129):  # in 64-row blocks: 1, 1, 1, 1, 2 and 3 of them
+        a = rand_sym(np.random.default_rng([12, n]), n)
+        yield pytest.param(a, factorize(a), id=f"random-{n}")
+    for n, delta in ((4, 0.5), (5, 0.25), (6, 0.4)):
+        ex = extremal_matrix(n, delta)
+        yield pytest.param(ex.A, ex.ref, id=f"extremal-{n}-reference")
+        yield pytest.param(ex.A, factorize(ex.A), id=f"extremal-{n}-factorize")
+
+
+@pytest.mark.parametrize("a, f", _lh_path_cases())
+def test_lh_path_matches_whole_matrix_reference(a, f):
+    _assert_lh_path_matches_reference(a, f.p, f.L, f.T)
+
+
+def test_column_blocked_product_matches_one_shot_product():
+    # from n = 260 on L H is formed in column blocks; under a single-threaded
+    # BLAS each block's bits equal the one-shot product's.  A multithreaded
+    # BLAS splits a product between threads by its own rule, so from n ~ 260
+    # the one-shot product's bits already depend on the thread count, and the
+    # check runs in a child with one BLAS thread
+    code = (
+        "import numpy as np\n"
+        "from _helpers import rand_sym\n"
+        "from test_matcore import _assert_lh_path_matches_reference\n"
+        "from ltlt.aasen import factorize\n"
+        "for n in (300, 600):\n"
+        "    a = rand_sym(np.random.default_rng([12, n]), n)\n"
+        "    f = factorize(a)\n"
+        "    _assert_lh_path_matches_reference(a, f.p, f.L, f.T)\n"
+    )
+    env = dict(os.environ, **{v: "1" for v in BLAS_THREAD_VARS})
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (TESTS, env.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_assemble_exactly_symmetric():
@@ -269,6 +348,13 @@ def test_unit_lower_invariants():
             "dimension mismatch: L is 2, T is 3",
         ),
         (
+            lambda: residual(
+                SymmetricMatrix(np.eye(3)), PermutationVector.identity(3),
+                UnitLowerTriangular.identity(2), SymmetricTridiagonal(np.ones(2), np.zeros(1)),
+            ),
+            "dimension mismatch: A is 3, L is 2",
+        ),
+        (
             lambda: tridiag_solve(SymmetricTridiagonal(np.ones(2), np.zeros(1)), np.ones(3)),
             "right-hand side has length",
         ),
@@ -290,7 +376,8 @@ def test_unit_lower_invariants():
         "tridiag-0d-offdiag",
         "lower-non-square", "lower-diagonal", "lower-above-1", "lower-below-minus-1",
         "tridiag-lengths", "lower-nan", "lower-inf", "tridiag-nan", "tridiag-inf",
-        "perm-fractional", "perm-nan", "assemble-dims", "tridiag-solve-rhs", "solve-rhs",
+        "perm-fractional", "perm-nan", "assemble-dims", "residual-dims", "tridiag-solve-rhs",
+        "solve-rhs",
         "tridiag-solve-nan", "tridiag-solve-inf", "solve-nan", "solve-inf",
     ],
 )
