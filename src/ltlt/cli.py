@@ -8,9 +8,11 @@ range), 3 internal invariant violation (a failing certificate, which
 should never occur, or an extremal example whose fresh factorization
 misses the family's growth by more than extremal.GROWTH_REL_TOL).  Every
 successful invocation, and every exit 3, prints one JSON report
-validating against REPORT_SCHEMA, on one line.  A table in a report (the
-certificate's rows) is one object of equal-length arrays, one per field
-of the row type.
+validating against REPORT_SCHEMA, on one line.  A report writes each
+value once, and only values the computation produced: what depends on n
+alone (the certificate's row labels and bounds, the slack program) is
+rebuilt from n by the reader, and ``l_strict`` holds only L's strict lower
+triangle, row i its first i entries.
 
 At module level this imports only the standard library and the pure-Python
 lpcert, which also defines DomainError and MAX_N.  The numerical modules,
@@ -35,7 +37,7 @@ if TYPE_CHECKING:
     from .growth import GrowthCertificate
     from .matcore import SymmetricMatrix
 
-SCHEMA_VERSION = "5"
+SCHEMA_VERSION = "6"
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -54,18 +56,6 @@ class MatrixFileError(ValueError):
 _NUM = {"type": "number"}
 _NUM_ARRAY = {"type": "array", "items": _NUM}
 _MATRIX = {"type": "array", "items": _NUM_ARRAY}
-
-
-def _table(**columns) -> dict:
-    """Schema of a table written as columns: one array per named field.
-
-    The arrays must have equal length, which the schema cannot state."""
-    return {
-        "type": "object",
-        "additionalProperties": False,
-        "required": list(columns),
-        "properties": {k: {"type": "array", "items": v} for k, v in columns.items()},
-    }
 
 
 REPORT_SCHEMA = {
@@ -104,10 +94,20 @@ REPORT_SCHEMA = {
                 "certificate": {
                     "type": "object",
                     "additionalProperties": False,
-                    "required": ["rows", "all_pass"],
+                    "required": ["lhs", "worst", "all_pass"],
                     "properties": {
-                        # growth.CheckRow's fields
-                        "rows": _table(label={"type": "string"}, lhs=_NUM, bound=_NUM, margin=_NUM),
+                        "lhs": _NUM_ARRAY,
+                        "worst": {  # growth.CheckRow's fields
+                            "type": "object",
+                            "additionalProperties": False,
+                            "required": ["label", "lhs", "bound", "margin"],
+                            "properties": {
+                                "label": {"type": "string"},
+                                "lhs": _NUM,
+                                "bound": _NUM,
+                                "margin": _NUM,
+                            },
+                        },
                         "all_pass": {"type": "boolean"},
                     },
                 },
@@ -247,13 +247,10 @@ def _write_text(path: Path, text: str, parents: bool = False):
 
 
 def _cert_dict(cert: GrowthCertificate) -> dict:
+    # labels and bounds depend on n alone: GrowthCertificate rebuilds them
     return {
-        "rows": {
-            "label": cert.labels,
-            "lhs": cert.lhs.tolist(),
-            "bound": cert.bound.tolist(),
-            "margin": (cert.bound - cert.lhs).tolist(),
-        },
+        "lhs": cert.lhs.tolist(),
+        "worst": cert.worst()._asdict(),
         "all_pass": cert.all_pass,
     }
 
@@ -287,9 +284,11 @@ def cmd_factor(args) -> int:
     from .matcore import residual
 
     f = factorize(a)
+    strict = f.L.strict
     outputs = {
         "permutation": f.p.p.tolist(),
-        "l_strict": f.L.strict.tolist(),
+        # the strict lower triangle: row i holds l[i][:i], so row 0 is []
+        "l_strict": [strict[i, :i].tolist() for i in range(a.n)],
         "t_diag": f.T.diag.tolist(),
         "t_offdiag": f.T.offdiag.tolist(),
         "residual": residual(a, f.p, f.L, f.T),

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -25,6 +26,8 @@ from ltlt.growth import MARGIN_TOL, CheckRow, growth_factor
 from ltlt.lpcert import min_delta, solve_lp
 from ltlt.matcore import SymmetricMatrix
 
+DATA = Path(__file__).parent / "data"
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -34,15 +37,34 @@ def run_cli(capsys, *argv):
 
 def check_report(out: str) -> dict:
     """Parse a report, validate it, and check what the schema cannot state:
-    every table's columns have one length."""
+    a certificate has one lhs per row for its n, and its worst row is the
+    first row of smallest margin."""
     report = json.loads(out)
     jsonschema.validate(report, REPORT_SCHEMA)
-    assert report["schema_version"] == "5"
+    assert report["schema_version"] == "6"
     assert "rule" not in report["inputs"]
-    table = report["outputs"].get("certificate", {}).get("rows")
-    if table is not None:
-        assert len({len(column) for column in table.values()}) == 1
+    cert = report["outputs"].get("certificate")
+    if cert is not None:
+        rebuilt = _rebuilt_certificate(report)
+        bound = growth._bounds(rebuilt.n).tolist()
+        assert len(cert["lhs"]) == len(bound)
+        margin = [b - x for b, x in zip(bound, cert["lhs"])]
+        k = margin.index(min(margin))
+        assert cert["worst"] == {
+            "label": rebuilt.labels[k], "lhs": cert["lhs"][k], "bound": bound[k], "margin": margin[k]
+        }
     return report
+
+
+def _rebuilt_certificate(report: dict) -> growth.GrowthCertificate:
+    """The certificate of a certify report, with labels and bounds rebuilt from n."""
+    cert = report["outputs"]["certificate"]
+    return growth.GrowthCertificate(
+        rho=report["outputs"]["growth"],
+        lhs=np.array(cert["lhs"]),
+        all_pass=cert["all_pass"],
+        n=report["inputs"]["n"],
+    )
 
 
 def report_of(capsys, *argv):
@@ -119,6 +141,22 @@ def test_cmd_factor_extremal_n6(tmp_path, capsys):
     assert abs(rep["outputs"]["growth"] - 24.0) <= 1e-10
 
 
+@pytest.mark.parametrize("source", ["tnn_n9", "seeded_n12"])
+def test_cmd_factor_writes_the_strict_lower_triangle(tmp_path, capsys, source):
+    if source == "tnn_n9":
+        path = DATA / "tnn_n9.txt"
+    else:
+        path = tmp_path / "r12.txt"
+        path.write_text(emit_matrix(rand_sym(np.random.default_rng(43), 12)))
+    rep = report_of(capsys, "factor", str(path))
+    strict = factorize(cli.read_matrix(str(path))).L.strict
+    l_strict = rep["outputs"]["l_strict"]
+    assert len(l_strict) == strict.shape[0]
+    for i, row in enumerate(l_strict):
+        assert np.array(row, dtype=float).tobytes() == strict[i, :i].tobytes()
+    assert l_strict[0] == []
+
+
 def test_cmd_factor_truncated_file(tmp_path, capsys):
     path = tmp_path / "bad.txt"
     path.write_text("symmetric 3\n1 0 0\n0 1 0\n")
@@ -133,10 +171,10 @@ def test_cmd_certify(tmp_path, capsys):
     rep = report_of(capsys, "certify", str(path))
     cert = rep["outputs"]["certificate"]
     assert cert["all_pass"] is True
-    rows = cert["rows"]
-    assert list(rows) == list(CheckRow._fields)
-    k = rows["label"].index("t[5,5]")
-    assert abs(rows["margin"][k] - 0.12) <= 1e-9
+    assert list(cert["worst"]) == list(CheckRow._fields)
+    rebuilt = _rebuilt_certificate(rep)
+    k = rebuilt.labels.index("t[5,5]")
+    assert abs((rebuilt.bound[k] - cert["lhs"][k]) - 0.12) <= 1e-9
 
 
 def test_cmd_certify_random(tmp_path, capsys):
@@ -528,8 +566,10 @@ def test_certify_report_matches_oracle(tmp_path, capsys):
     rep = report_of(capsys, "certify", str(path))
     f = factorize(a)
     rows = certificate_rows_scalar(a, f)
+    worst = min(rows, key=lambda row: row[3])  # the first on ties
     assert rep["outputs"]["certificate"] == {
-        "rows": dict(zip(CheckRow._fields, map(list, zip(*rows)))),
+        "lhs": [row[1] for row in rows],
+        "worst": CheckRow(*worst)._asdict(),
         "all_pass": all(row[3] >= -MARGIN_TOL for row in rows),
     }
     assert rep["outputs"]["growth"] == growth_factor(a, f)

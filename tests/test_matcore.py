@@ -209,6 +209,18 @@ def test_lh_path_matches_whole_matrix_reference(a, f):
     _assert_lh_path_matches_reference(a, f.p, f.L, f.T)
 
 
+def _run_child(code: str, threads: int) -> str:
+    """Run ``code`` in a fresh interpreter with ``threads`` BLAS threads and
+    the tests directory importable; returns its standard output."""
+    env = dict(os.environ, **{v: str(threads) for v in BLAS_THREAD_VARS})
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (TESTS, env.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 def test_column_blocked_product_matches_one_shot_product():
     # from n = 260 on L H is formed in column blocks; under a single-threaded
     # BLAS each block's bits equal the one-shot product's.  A multithreaded
@@ -225,12 +237,29 @@ def test_column_blocked_product_matches_one_shot_product():
         "    f = factorize(a)\n"
         "    _assert_lh_path_matches_reference(a, f.p, f.L, f.T)\n"
     )
-    env = dict(os.environ, **{v: "1" for v in BLAS_THREAD_VARS})
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (TESTS, env.get("PYTHONPATH"))))
-    proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
+    _run_child(code, threads=1)
+
+
+def test_factors_and_certificate_do_not_depend_on_the_blas_thread_count():
+    # at n = 300 a multithreaded BLAS already changes the bits of L H, and so
+    # of assemble and residual; the factors, the growth and the certificate's
+    # lhs must hash the same with one BLAS thread and with two
+    code = (
+        "import hashlib\n"
+        "import numpy as np\n"
+        "from _helpers import rand_sym\n"
+        "from ltlt.aasen import factorize\n"
+        "from ltlt.growth import growth_certificate, growth_factor\n"
+        "a = rand_sym(np.random.default_rng([12, 300]), 300)\n"
+        "f = factorize(a)\n"
+        "parts = (f.p.p, f.L.strict, f.T.diag, f.T.offdiag,\n"
+        "         np.float64(growth_factor(a, f)), growth_certificate(a, f).lhs)\n"
+        "for x in parts:\n"
+        "    print(hashlib.sha256(np.ascontiguousarray(x).tobytes()).hexdigest())\n"
     )
-    assert proc.returncode == 0, proc.stderr
+    one, two = (_run_child(code, threads).split() for threads in (1, 2))
+    assert len(one) == 6
+    assert one == two
 
 
 def test_assemble_exactly_symmetric():
