@@ -21,8 +21,7 @@ _EXPORTS = {
         "DeltaWindowError", "ExampleReport", "ExtremalExample", "extremal_matrix", "verify_example",
     ),
     "growth": (
-        "BoundTable", "CheckRow", "GrowthCertificate", "UndefinedGrowthError", "bound_table",
-        "growth_certificate", "growth_factor", "reference_growth_targets",
+        "CheckRow", "GrowthCertificate", "UndefinedGrowthError", "growth_certificate", "growth_factor",
     ),
     "lpcert": (
         "ConstraintRow", "DeltaProgram", "LPSolution", "build_program", "min_delta", "solve_lp",

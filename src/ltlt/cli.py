@@ -10,9 +10,10 @@ misses the family's growth by more than extremal.GROWTH_REL_TOL).  Every
 successful invocation, and every exit 3, prints one JSON report
 validating against REPORT_SCHEMA, on one line.  A report writes each
 value once, and only values the computation produced: what depends on n
-alone (the certificate's row labels and bounds, the slack program) is
-rebuilt from n by the reader, and ``l_strict`` holds only L's strict lower
-triangle, row i its first i entries.
+alone (the certificate's row labels and bounds, which
+GrowthCertificate.row(k) forms from n and k, and the slack program) is not
+written, and ``l_strict`` holds only L's strict lower triangle, row i its
+first i entries.
 
 At module level this imports only the standard library and the pure-Python
 lpcert, which also defines DomainError and MAX_N.  The numerical modules,
@@ -247,7 +248,7 @@ def _write_text(path: Path, text: str, parents: bool = False):
 
 
 def _cert_dict(cert: GrowthCertificate) -> dict:
-    # labels and bounds depend on n alone: GrowthCertificate rebuilds them
+    # labels and bounds depend on n alone: GrowthCertificate.row(k) forms them
     return {
         "lhs": cert.lhs.tolist(),
         "worst": cert.worst()._asdict(),

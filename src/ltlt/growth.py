@@ -6,16 +6,18 @@ matrix H = T L^T, and on the trailing rows of T.  All bounds are taken
 relative to the largest entry magnitude of the input matrix.
 
 The bounds are evaluated as two arrays, left-hand sides and bounds, in a
-fixed row order.  A certificate stores the left-hand sides; the bounds and
-the row labels depend on n alone and are built only when asked for
-(``GrowthCertificate.bound`` and ``.labels``); ``worst()`` returns one
-labelled row.
+fixed row order.  A certificate stores the left-hand sides; the bounds
+depend on n alone and are built when first asked for
+(``GrowthCertificate.bound``).  ``row(k)`` returns row k labelled, its label
+formed from n and k alone, and ``worst()`` returns the row of smallest
+margin.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import List, NamedTuple, Tuple
+from math import isqrt
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,10 +46,10 @@ class GrowthCertificate:
     """Instantiated entrywise bounds for one factorization.
 
     Row k checks ``lhs[k] <= bound[k]``, in the row order documented on
-    growth_certificate().  Only ``lhs`` is stored: ``bound``, like
-    ``labels``, depends on n alone and is built on first access.  Both
-    arrays are read-only; an ``lhs`` that is not already a read-only array
-    is copied first.
+    growth_certificate(); ``row(k)`` gives it with its label and margin.
+    Only ``lhs`` is stored: ``bound`` depends on n alone and is built on
+    first access.  Both arrays are read-only; an ``lhs`` that is not
+    already a read-only array is copied first.
     """
 
     rho: float
@@ -68,34 +70,16 @@ class GrowthCertificate:
         bound.setflags(write=False)
         return bound
 
-    @cached_property
-    def labels(self) -> List[str]:
-        """Row labels, 1-based indices, e.g. ``"h[2,5]"``."""
-        n = self.n
-        labels = ["t[1,1]", "t[2,1]", "t[2,2]"] if n >= 2 else ["t[1,1]"]
-        if n >= 3:
-            labels += [f"h[1,{i}]" for i in range(3, n + 1)]
-            labels += [f"h[{j},{i}]" for j in range(2, n + 1) for i in range(j + 1, n + 1)]
-            labels.append(f"h[{n},{n}]")
-            for i in range(3, n + 1):
-                labels += [f"t[{i},{i - 1}]", f"t[{i},{i}]"]
-        return labels
+    def row(self, k: int) -> CheckRow:
+        """Row k as (label, lhs, bound, margin); labels use 1-based indices, e.g. ``"h[2,5]"``."""
+        if not 0 <= k < len(self.lhs):
+            raise IndexError(f"certificate row {k} out of range for {len(self.lhs)} rows")
+        lhs, bound = float(self.lhs[k]), float(self.bound[k])
+        return CheckRow(_label(self.n, k), lhs, bound, bound - lhs)
 
     def worst(self) -> CheckRow:
         """The row with the smallest margin; the first one on ties."""
-        k = int(np.argmin(self.bound - self.lhs))
-        lhs, bound = float(self.lhs[k]), float(self.bound[k])
-        return CheckRow(self.labels[k], lhs, bound, bound - lhs)
-
-
-@dataclass(frozen=True)
-class BoundTable:
-    """Closed-form growth bounds, exact ints: Higham's 4^(n-2) and the sharper 2^(n-1)."""
-
-    n: int
-    higham_bound: int
-    improved_bound: int
-    not_tight: bool
+        return self.row(int(np.argmin(self.bound - self.lhs)))
 
 
 def _check_dims(a: SymmetricMatrix, f: AasenFactors):
@@ -172,6 +156,24 @@ def growth_certificate(a: SymmetricMatrix, f: AasenFactors) -> GrowthCertificate
     return GrowthCertificate(rho=rho, lhs=lhs, all_pass=all_pass, n=n)
 
 
+def _label(n: int, k: int) -> str:
+    """The label of row k, in growth_certificate()'s row order, by arithmetic."""
+    if k < 3:
+        return ("t[1,1]", "t[2,1]", "t[2,2]")[k]
+    hnn = n * (n - 1) // 2 + 2  # the row of h[n,n]
+    if k < hnn:
+        # H's strict upper triangle without h[1,2], row-major.  Counted back
+        # from h[n-1,n] (q = 0), H's rows n-1, n-2, ... hold 1, 2, ... entries
+        # of it, so q lies in row n-1-r, r(r+1)/2 <= q < (r+1)(r+2)/2
+        q = hnn - 1 - k
+        r = (isqrt(8 * q + 1) - 1) // 2
+        return f"h[{n - 1 - r},{n - q + r * (r + 1) // 2}]"
+    if k == hnn:
+        return f"h[{n},{n}]"
+    i, diag = divmod(k - hnn + 5, 2)  # t[i,i-1], t[i,i] for i = 3, 4, ...
+    return f"t[{i},{i - 1 + diag}]"
+
+
 def _bounds(n: int) -> np.ndarray:
     """The bound of every certificate row, in growth_certificate()'s row order."""
     if n < 3:
@@ -184,30 +186,3 @@ def _bounds(n: int) -> np.ndarray:
     values = np.concatenate(([1.0], pow2[: n - 1], pairs))
     counts = np.concatenate(([n + 1], np.arange(n - 2, 0, -1), [1], np.ones(2 * n - 4, np.intp)))
     return np.repeat(values, counts)
-
-
-def bound_table(n: int) -> BoundTable:
-    """The two closed-form bounds; flagged not-tight from dimension 6 on."""
-    if n < 2:
-        raise ValueError("bound table requires n >= 2")
-    return BoundTable(
-        n=n,
-        higham_bound=4 ** (n - 2),
-        improved_bound=2 ** (n - 1),
-        not_tight=n >= 6,
-    )
-
-
-def reference_growth_targets() -> List[Tuple[int, float, str]]:
-    """Best published growth values by dimension.
-
-    Cheng's n=3 value is exact; 7.99 and 14.61 are best direct-search
-    results, recorded as targets rather than reproducible guarantees.  The
-    n=6 value 24 is realized exactly by the built-in extremal example.
-    """
-    return [
-        (3, 4.0, "cheng"),
-        (4, 7.99, "cheng"),
-        (5, 14.61, "cheng"),
-        (6, 24.0, "constructed"),
-    ]

@@ -50,14 +50,13 @@ def check_report(out: str) -> dict:
         assert len(cert["lhs"]) == len(bound)
         margin = [b - x for b, x in zip(bound, cert["lhs"])]
         k = margin.index(min(margin))
-        assert cert["worst"] == {
-            "label": rebuilt.labels[k], "lhs": cert["lhs"][k], "bound": bound[k], "margin": margin[k]
-        }
+        assert cert["worst"] == rebuilt.row(k)._asdict()
+        assert list(cert["worst"].values())[1:] == [cert["lhs"][k], bound[k], margin[k]]
     return report
 
 
 def _rebuilt_certificate(report: dict) -> growth.GrowthCertificate:
-    """The certificate of a certify report, with labels and bounds rebuilt from n."""
+    """The certificate of a certify report; its rows' labels and bounds follow from n."""
     cert = report["outputs"]["certificate"]
     return growth.GrowthCertificate(
         rho=report["outputs"]["growth"],
@@ -173,8 +172,9 @@ def test_cmd_certify(tmp_path, capsys):
     assert cert["all_pass"] is True
     assert list(cert["worst"]) == list(CheckRow._fields)
     rebuilt = _rebuilt_certificate(rep)
-    k = rebuilt.labels.index("t[5,5]")
-    assert abs((rebuilt.bound[k] - cert["lhs"][k]) - 0.12) <= 1e-9
+    t55 = rebuilt.row(len(cert["lhs"]) - 1)
+    assert t55.label == "t[5,5]"
+    assert abs(t55.margin - 0.12) <= 1e-9
 
 
 def test_cmd_certify_random(tmp_path, capsys):

@@ -7,12 +7,11 @@ from ltlt.extremal import extremal_matrix
 from ltlt.growth import (
     MARGIN_TOL,
     MAX_N,
+    CheckRow,
     GrowthCertificate,
     UndefinedGrowthError,
-    bound_table,
     growth_certificate,
     growth_factor,
-    reference_growth_targets,
 )
 from ltlt.matcore import (
     PermutationVector,
@@ -68,11 +67,11 @@ def test_certificate_small_delta_margin():
     ex = extremal_matrix(5, 1e-6)
     cert = growth_certificate(ex.A, ex.ref)
     assert cert.all_pass
-    t55, t54 = cert.labels.index("t[5,5]"), cert.labels.index("t[5,4]")
-    margin = cert.bound - cert.lhs
-    assert cert.bound[t55] == 16.0
-    assert abs(margin[t55] - 12e-6) <= 1e-9
-    assert abs(margin[t54] - 4e-6) <= 1e-9
+    t54, t55 = cert.row(len(cert.lhs) - 2), cert.row(len(cert.lhs) - 1)
+    assert (t54.label, t55.label) == ("t[5,4]", "t[5,5]")
+    assert t55.bound == 16.0
+    assert abs(t55.margin - 12e-6) <= 1e-9
+    assert abs(t54.margin - 4e-6) <= 1e-9
 
 
 def test_certificate_row_count_structure():
@@ -81,13 +80,15 @@ def test_certificate_row_count_structure():
         a = SymmetricMatrix(np.eye(n))
         cert = growth_certificate(a, factorize(a))
         expect = 3 + 2 * (n - 2) + (n - 2) + (n - 1) * (n - 2) // 2 + 1
-        assert len(cert.labels) == len(cert.lhs) == len(cert.bound) == expect
+        assert len(cert.lhs) == len(cert.bound) == expect
+        assert cert.row(expect - 1).label == f"t[{n},{n}]"
 
 
 def test_certificate_n2_leading_rows_only():
     a = SymmetricMatrix(np.array([[1.0, -0.5], [-0.5, 0.25]]))
     cert = growth_certificate(a, factorize(a))
-    assert cert.labels == ["t[1,1]", "t[2,1]", "t[2,2]"]
+    assert len(cert.lhs) == 3
+    assert [cert.row(k).label for k in range(3)] == ["t[1,1]", "t[2,1]", "t[2,2]"]
     assert cert.all_pass
 
 
@@ -111,7 +112,11 @@ def _assert_matches_oracle(a, f):
     """growth_certificate against the row-at-a-time oracle, bit for bit."""
     cert = growth_certificate(a, f)
     want = certificate_rows_scalar(a, f)
-    assert cert.labels == [row[0] for row in want]
+    assert len(cert.lhs) == len(want)
+    for k, row in enumerate(want):
+        got = cert.row(k)
+        assert got.label == row[0]
+        assert _float_bytes(got[1:]) == _float_bytes(row[1:])
     for k, got in enumerate((cert.lhs, cert.bound, cert.bound - cert.lhs), 1):
         assert got.tobytes() == _float_bytes([row[k] for row in want])
     assert cert.all_pass is all(row[3] >= -MARGIN_TOL for row in want)
@@ -180,8 +185,7 @@ def test_certificate_failing_rows_match_oracle():
     assert cert.all_pass is False
     margin = cert.bound - cert.lhs
     k = int(np.flatnonzero(margin < -MARGIN_TOL)[0])
-    first_fail = (cert.labels[k], cert.lhs[k], cert.bound[k], margin[k])
-    assert first_fail == next(row for row in want if row[3] < -MARGIN_TOL)
+    assert cert.row(k) == next(row for row in want if row[3] < -MARGIN_TOL)
     assert cert.worst().margin < -MARGIN_TOL
 
 
@@ -190,8 +194,49 @@ def test_certificate_worst_first_of_ties():
     a = SymmetricMatrix(np.eye(6))
     cert = growth_certificate(a, factorize(a))
     tight = np.flatnonzero(cert.bound - cert.lhs == 0.0)[:2]
-    assert [cert.labels[k] for k in tight] == ["t[1,1]", "t[2,2]"]
+    assert [cert.row(k).label for k in tight] == ["t[1,1]", "t[2,2]"]
     assert cert.worst() == ("t[1,1]", 1.0, 1.0, 0.0)
+
+
+def test_certificate_row_index_out_of_range():
+    a = SymmetricMatrix(np.eye(4))
+    cert = growth_certificate(a, factorize(a))
+    rows = len(cert.lhs)
+    assert cert.row(rows - 1).label == "t[4,4]"
+    for k in (rows, -rows - 1, -1):
+        with pytest.raises(IndexError, match=f"certificate row {k} out of range for {rows} rows"):
+            cert.row(k)
+
+
+def test_certificate_row_groups_at_max_n():
+    # the first and last row of every row group at the largest n whose
+    # bounds are representable, and h[3,4], the first from H's third row
+    n = MAX_N
+    a = rand_sym(np.random.default_rng([62, n]), n)
+    cert = growth_certificate(a, factorize(a))
+    assert len(cert.lhs) == 525_823
+    expect = {
+        0: ("t[1,1]", 1.0),
+        2: ("t[2,2]", 1.0),
+        3: ("h[1,3]", 1.0),
+        1_024: ("h[1,1024]", 1.0),
+        1_025: ("h[2,3]", 1.0),
+        2_046: ("h[2,1024]", 1.0),
+        2_047: ("h[3,4]", 2.0),
+        523_777: ("h[1023,1024]", 2.0 ** 1021),
+        523_778: ("h[1024,1024]", 2.0 ** 1022),
+        523_779: ("t[3,2]", 2.0),
+        523_780: ("t[3,3]", 4.0),
+        525_821: ("t[1024,1023]", 2.0 ** 1022),
+        525_822: ("t[1024,1024]", 2.0 ** 1023),
+    }
+    for k, (label, bound) in expect.items():
+        lhs = float(cert.lhs[k])
+        assert cert.row(k) == CheckRow(label, lhs, bound, bound - lhs)
+    margin = cert.bound - cert.lhs
+    k = int(np.argmin(margin))
+    assert cert.worst() == cert.row(k)
+    assert cert.worst().margin == margin.min()
 
 
 def test_certificate_equality_by_value():
@@ -220,7 +265,7 @@ def test_certificate_arrays_are_read_only():
         cert.lhs[0] = 0.0
     with pytest.raises(ValueError):
         cert.bound[0] = 0.0
-    # bound, like labels, depends on n alone: built on first access, not stored
+    # bound depends on n alone: built on first access, not stored
     assert "bound" not in GrowthCertificate.__dataclass_fields__
     assert cert.bound is cert.bound
     # a caller's writeable lhs is copied, not frozen under the caller
@@ -237,40 +282,3 @@ def test_growth_scale_invariance():
         b = SymmetricMatrix(a.entries * c)
         gb = growth_factor(b, factorize(b))
         assert abs(gb - g) <= 1e-12 * g
-
-
-def test_bound_table_values():
-    t3 = bound_table(3)
-    assert (t3.higham_bound, t3.improved_bound, t3.not_tight) == (4.0, 4.0, False)
-    t4 = bound_table(4)
-    assert (t4.higham_bound, t4.improved_bound) == (16.0, 8.0)
-    t6 = bound_table(6)
-    assert (t6.higham_bound, t6.improved_bound, t6.not_tight) == (256.0, 32.0, True)
-
-
-def test_bound_table_monotone_doubling():
-    for n in range(2, 20):
-        assert bound_table(n + 1).improved_bound == 2.0 * bound_table(n).improved_bound
-        if n >= 3:
-            assert bound_table(n).improved_bound <= bound_table(n).higham_bound
-
-
-@pytest.mark.parametrize("n", [514, 1024])
-def test_bound_table_exact_past_double_range(n):
-    # 4^(n-2) exceeds the largest double from n = 514 on
-    t = bound_table(n)
-    assert t.higham_bound == 4 ** (n - 2) and t.improved_bound == 2 ** (n - 1)
-    assert t.improved_bound < t.higham_bound and t.not_tight
-
-
-def test_bound_table_domain():
-    with pytest.raises(ValueError):
-        bound_table(1)
-
-
-def test_reference_targets():
-    targets = {n: (v, src) for n, v, src in reference_growth_targets()}
-    assert targets[3] == (4.0, "cheng")
-    assert targets[4] == (7.99, "cheng")
-    assert targets[5] == (14.61, "cheng")
-    assert targets[6] == (24.0, "constructed")
