@@ -167,6 +167,8 @@ def _token_error(lineno: int, fields) -> MatrixFileError:
     """The error for the first token of a failed row that is not a finite number."""
     for j, tok in enumerate(fields):
         try:
+            if "_" in tok:  # float() and int() read digit-group underscores: 1_0 is 10
+                raise ValueError
             val = float(tok)
         except ValueError:
             return MatrixFileError(f"line {lineno}, column {j + 1}: {tok!r} is not a number")
@@ -186,6 +188,8 @@ def parse_matrix(text: str) -> SymmetricMatrix:
     if len(head) != 2 or head[0] != "symmetric":
         raise MatrixFileError("line 1: expected header 'symmetric <n>'")
     try:
+        if "_" in head[1]:
+            raise ValueError
         n = int(head[1])
     except ValueError:
         raise MatrixFileError(f"line 1: dimension {head[1]!r} is not an integer") from None
@@ -208,7 +212,7 @@ def parse_matrix(text: str) -> SymmetricMatrix:
             row = list(map(float, fields))
         except ValueError:
             raise _token_error(lineno, fields) from None
-        if not all(map(math.isfinite, row)):
+        if "_" in lines[i + 1] or not all(map(math.isfinite, row)):
             raise _token_error(lineno, fields)
         entries.append(row)
     for extra in range(n + 1, len(lines)):

@@ -196,8 +196,6 @@ def permute_sym(a: SymmetricMatrix, perm: PermutationVector) -> SymmetricMatrix:
     return SymmetricMatrix(a.entries[np.ix_(perm.p, perm.p)])
 
 
-
-
 # Rows or columns per block of the blocked passes below.  A block's buffers
 # are a small share of one n x n array at the sizes where memory matters
 # (64 / 500 at n = 500), and numpy's per-call cost stays hidden.
@@ -251,14 +249,14 @@ def working_matrix(lower: UnitLowerTriangular, tri: SymmetricTridiagonal) -> np.
 
 
 def _product(lower: UnitLowerTriangular, tri: SymmetricTridiagonal) -> np.ndarray:
-    """M = L H, with H = T L^T from working_matrix(): L T L^T before symmetrization.
+    """M = L H, with H = T L^T from working_matrix(); L T L^T is M's lower triangle.
 
     M is (strict part of L) H + H, written over H one column block at a
     time, since column block c of M reads only column block c of H.  Blocks
     are _BLOCK columns wide but the last, which spans at least
     _LAST_BLOCK_MIN columns (so for n < 260 there is one block), and pass
     through one buffer the size of the last block.  Overflow is left in M
-    as inf or nan, for _symmetric_rows() to report.
+    as inf or nan, for _lower_rows() to report.
     """
     h = working_matrix(lower, tri)
     n = h.shape[0]
@@ -275,35 +273,29 @@ def _product(lower: UnitLowerTriangular, tri: SymmetricTridiagonal) -> np.ndarra
     return h
 
 
-def _symmetric_rows(m: np.ndarray, r0: int, r1: int) -> np.ndarray:
-    """Rows r0:r1 of (M + M^T)/2, the roundoff skew of M averaged away.
+def _lower_rows(m: np.ndarray, r0: int, r1: int) -> np.ndarray:
+    """Rows r0:r1 of np.tril(M), up to column r1; M's strict upper triangle is never read.
 
-    Where M + M^T overflows in these rows, they are M/2 + M^T/2 instead.
-    Raises OverflowError when that overflows too, that is when L T L^T
-    itself leaves the double range.
+    Raises OverflowError on a non-finite entry: L T L^T leaves the double range.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        rows = np.add(m[r0:r1], m[:, r0:r1].T)
-        rows /= 2.0
-        if not np.isfinite(rows).all():
-            np.add(m[r0:r1] / 2.0, m[:, r0:r1].T / 2.0, out=rows)
-            if not np.isfinite(rows).all():
-                raise OverflowError("L T L^T overflows the double range (non-finite product entry)")
+    rows = np.tril(m[r0:r1, :r1], r0)
+    if not np.isfinite(rows).all():
+        raise OverflowError("L T L^T overflows the double range (non-finite product entry)")
     return rows
 
 
 def assemble(lower: UnitLowerTriangular, tri: SymmetricTridiagonal) -> SymmetricMatrix:
-    """Full product L T L^T = L H, with H = T L^T from working_matrix().
+    """Full product L T L^T: the lower triangle of M = L H, mirrored upward.
 
-    L H is formed over H in column blocks, as residual() forms it, and
-    symmetrized as (M + M^T)/2 in row blocks; rows where M + M^T overflows
-    are M/2 + M^T/2 instead.  Raises OverflowError when the product itself
+    M is formed over H in column blocks, as residual() forms it, and made
+    symmetric as SymmetricMatrix.from_full() makes its input:
+    np.tril(M) + np.tril(M, -1).T.  Raises OverflowError when that triangle
     leaves the double range.
     """
     m = _product(lower, tri)
-    sym = np.empty_like(m)
-    for r0 in range(0, m.shape[0], _BLOCK):
-        sym[r0 : r0 + _BLOCK] = _symmetric_rows(m, r0, r0 + _BLOCK)
+    sym = _lower_rows(m, 0, len(m))
+    for r0 in range(0, len(m), _BLOCK):  # np.tril(M, -1).T, a block of rows at a time
+        sym[r0 : r0 + _BLOCK] += np.tril(m[:, r0 : r0 + _BLOCK], -r0 - 1).T
     del m  # the SymmetricMatrix copy is made with only sym alive
     return SymmetricMatrix(sym)
 
@@ -316,9 +308,10 @@ def residual(
 ) -> float:
     """Max-abs entry of P A P^T - L T L^T, with L T L^T as assemble() forms it.
 
-    After the product, each block of _BLOCK rows is symmetrized, gathered
-    from P A P^T and subtracted on its own, so no n x n array beyond L H is
-    made.  Raises OverflowError when L T L^T is not representable.
+    Both matrices are symmetric, so the max is taken over the lower
+    triangle: rows r0:r1 of M = L H against columns 0:r1 of P A P^T, one
+    block of _BLOCK rows at a time, so no n x n array beyond M is made.
+    Raises OverflowError when L T L^T is not representable.
     """
     _check_perm(a, perm)
     if lower.n != a.n:
@@ -327,7 +320,8 @@ def residual(
     p = perm.p
     worst = 0.0
     for r0 in range(0, a.n, _BLOCK):
-        diff = a.entries[np.ix_(p[r0 : r0 + _BLOCK], p)]
-        diff -= _symmetric_rows(m, r0, r0 + _BLOCK)
+        r1 = min(r0 + _BLOCK, a.n)
+        diff = np.tril(a.entries[np.ix_(p[r0:r1], p[:r1])], r0)
+        diff -= _lower_rows(m, r0, r1)
         worst = max(worst, float(np.max(np.abs(diff, out=diff))))
     return worst

@@ -194,39 +194,39 @@ def certificate_rows_scalar(a, f):
     return rows
 
 
-def lp_vertex_minimum(prog, chunk=200_000):
+def lp_vertex_minimum(prog, points=1 << 15):
     """Brute-force LP oracle: minimum objective over basic feasible points.
 
-    Every subset of len(prog.objective) constraint rows (written as
-    G x <= h) with a nonsingular normal matrix defines a basic point; the
-    minimum of the objective over the feasible ones is the LP optimum.
+    Every row is two-sided, lo <= a x <= up.  A basic point makes d =
+    len(prog.objective) constraints tight; a set that holds both sides of
+    one row is singular, so each d-subset of rows with a nonsingular matrix
+    is solved once, for its 2^d lo/up side choices as one batched
+    right-hand side, in blocks of about ``points`` basic points.  The
+    minimum of the objective over the feasible points (G x <= h, with both
+    sides of every row as rows of G) is the LP optimum.
     """
-    g_rows, h_rows = [], []
-    for row in prog.rows:
-        a = np.asarray(row.coeffs)
-        if np.isfinite(row.up):
-            g_rows.append(a)
-            h_rows.append(row.up)
-        if np.isfinite(row.lo):
-            g_rows.append(-a)
-            h_rows.append(-row.lo)
-    g = np.array(g_rows)
-    h = np.array(h_rows)
-    m, d = g.shape
+    a = np.array([row.coeffs for row in prog.rows], dtype=float)
+    lo = np.array([row.lo for row in prog.rows], dtype=float)
+    up = np.array([row.up for row in prog.rows], dtype=float)
+    assert np.isfinite(lo).all() and np.isfinite(up).all(), "rows must be two-sided"
+    g = np.vstack((a, -a))
+    h = np.concatenate((up, -lo))
+    m, d = a.shape
     c = np.asarray(prog.objective)
+    at_up = np.array(list(itertools.product((False, True), repeat=d)))  # (2^d, d) side choices
 
     best = np.inf
     combos = itertools.combinations(range(m), d)
-    while True:
-        block = list(itertools.islice(combos, chunk))
-        if not block:
-            break
+    while block := list(itertools.islice(combos, max(1, points >> d))):
         idx = np.array(block)
-        gs = g[idx]
+        gs = a[idx]
         ok = np.abs(np.linalg.det(gs)) > 1e-8
         if not ok.any():
             continue
-        x = np.linalg.solve(gs[ok], h[idx[ok]][..., None])[..., 0]
+        idx = idx[ok]
+        # column k of subset b's right-hand side is side choice k of its rows
+        rhs = np.where(at_up.T, up[idx][..., None], lo[idx][..., None])
+        x = np.linalg.solve(gs[ok], rhs).transpose(0, 2, 1).reshape(-1, d)
         feas = ((x @ g.T) <= h + 1e-9).all(axis=1)
         if feas.any():
             best = min(best, float((x[feas] @ c).min()))

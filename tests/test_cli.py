@@ -97,6 +97,9 @@ def test_parse_recovers_exact_values():
         ("symmetric\n", "header"),
         ("sym 3\n1 2 3\n", "header"),
         ("symmetric x\n", "not an integer"),
+        # int() and float() read digit-group underscores: 1_0 would be 10
+        ("symmetric 1_0\n", "line 1: dimension '1_0' is not an integer"),
+        ("symmetric 2\n1_0 0\n0 1\n", "line 2, column 1: '1_0' is not a number"),
         ("symmetric 0\n", ">= 1"),
         ("symmetric 2\n1 0\n", "line 3: missing row"),
         ("symmetric 2\n1 0\n0 1 2\n", "expected 2 values, got 3"),
@@ -290,8 +293,8 @@ def test_factor_overflow_is_domain_error(tmp_path, capsys, command, text):
 @pytest.mark.parametrize(
     "text",
     [
-        # n = 2 leaves L = I and T = A: L T L^T is representable, though the
-        # sum M + M^T of its symmetrization overflows
+        # n = 2 leaves L = I and T = A: L T L^T is representable, with
+        # entries near the top of the double range
         "symmetric 2\n1.7e308 0\n0 -1.7e308\n",
         "symmetric 2\n1e308 1e-308\n1e-308 1\n",
         "symmetric 2\n1.7e308 1.7e308\n1.7e308 -1.7e308\n",

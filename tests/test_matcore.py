@@ -153,7 +153,7 @@ def _traced_peak(call) -> int:
 def test_dense_stages_stay_within_memory_budget(stage, budget):
     # budget in n x n arrays of doubles: n x n temporaries that hold no
     # result (np.eye, np.triu and np.abs copies, a dense T, a second copy of
-    # the certificate's rows, a whole symmetrized product or its difference
+    # the certificate's rows, a whole L T L^T or its difference
     # with P A P^T) go over it
     n = 300
     a = rand_sym(np.random.default_rng(8), n)
@@ -188,7 +188,7 @@ def _assert_lh_path_matches_reference(a, perm, lower, tri):
     """assemble and residual against the whole-matrix products, bit for bit."""
     h = working_matrix(lower, tri)
     m = lower.strict @ h + h
-    sym = (m + m.T) / 2
+    sym = np.tril(m) + np.tril(m, -1).T  # the lower triangle, mirrored as from_full() does
     want = np.max(np.abs(a.entries[np.ix_(perm.p, perm.p)] - sym))
     assert assemble(lower, tri).entries.tobytes() == sym.tobytes()
     assert np.float64(residual(a, perm, lower, tri)).tobytes() == want.tobytes()
@@ -268,18 +268,23 @@ def test_assemble_exactly_symmetric():
 
 
 def test_assemble_near_the_top_of_the_double_range():
-    # L = I, so L T L^T is T; the sum M + M^T of the symmetrization overflows
+    # L = I, so L T L^T is T, with entries near the top of the double range
     tri = SymmetricTridiagonal([1.7e308, -1.7e308], [1.7e308])
     assert np.array_equal(assemble(UnitLowerTriangular.identity(2), tri).entries, tri.full())
 
 
-def test_assemble_overflow_is_an_error():
+@pytest.mark.parametrize("stage", ["assemble", "residual"])
+def test_assemble_overflow_is_an_error(stage):
     # entry (3, 3) of L T L^T is t_22 + t_33, past the double range
-    strict = np.zeros((3, 3))
-    strict[2, 1] = 1.0
+    lower = UnitLowerTriangular(_lower3(1.0))
     tri = SymmetricTridiagonal(np.full(3, 1.7e308), np.zeros(2))
+    eye = SymmetricMatrix(np.eye(3))
+    call = {
+        "assemble": lambda: assemble(lower, tri),
+        "residual": lambda: residual(eye, PermutationVector.identity(3), lower, tri),
+    }[stage]
     with pytest.raises(OverflowError, match=r"L T L\^T overflows"):
-        assemble(UnitLowerTriangular(strict), tri)
+        call()
 
 
 def test_residual_trivial_2x2():
