@@ -273,18 +273,22 @@ def test_assemble_near_the_top_of_the_double_range():
     assert np.array_equal(assemble(UnitLowerTriangular.identity(2), tri).entries, tri.full())
 
 
-@pytest.mark.parametrize("stage", ["assemble", "residual"])
-def test_assemble_overflow_is_an_error(stage):
+def _overflowing_factors():
     # entry (3, 3) of L T L^T is t_22 + t_33, past the double range
-    lower = UnitLowerTriangular(_lower3(1.0))
-    tri = SymmetricTridiagonal(np.full(3, 1.7e308), np.zeros(2))
-    eye = SymmetricMatrix(np.eye(3))
-    call = {
-        "assemble": lambda: assemble(lower, tri),
-        "residual": lambda: residual(eye, PermutationVector.identity(3), lower, tri),
-    }[stage]
+    return UnitLowerTriangular(_lower3(1.0)), SymmetricTridiagonal(np.full(3, 1.7e308), np.zeros(2))
+
+
+def test_assemble_overflow_is_an_error():
+    lower, tri = _overflowing_factors()
     with pytest.raises(OverflowError, match=r"L T L\^T overflows"):
-        call()
+        assemble(lower, tri)
+
+
+def test_residual_overflow_is_an_error():
+    lower, tri = _overflowing_factors()
+    eye = SymmetricMatrix(np.eye(3))
+    with pytest.raises(OverflowError, match=r"L T L\^T overflows"):
+        residual(eye, PermutationVector.identity(3), lower, tri)
 
 
 def test_residual_trivial_2x2():
