@@ -9,10 +9,21 @@ plus a direct-search growth maximizer.
 The exported names load on first use (PEP 562): ``import ltlt`` imports no
 submodule, and numpy loads only with the first name from a module that
 computes with it.  ``lpcert`` is pure Python, so ``ltlt lp`` never loads it.
+
+The package-wide error class and dimension limit live here, so the modules
+and the CLI share them without importing one another.
 """
 from importlib import import_module
 
 __version__ = "0.1.0"
+
+# Largest dimension: the bounds 2^(n-1) overflow a double from n = 1025 on.
+MAX_N = 1024
+
+
+class DomainError(ValueError):
+    """Structurally valid request outside an operation's domain."""
+
 
 # The exported names, by the submodule that defines them.
 _EXPORTS = {

@@ -2,11 +2,13 @@
 
 Exit codes: 0 success, 1 usage or parse error (also an input file that
 cannot be read or decoded, or an output path that cannot be written),
-2 domain error (validity window, an lp or search dimension outside
-3..MAX_N, a factorization or a certificate bound overflowing the double
-range), 3 internal invariant violation (a failing certificate, which
-should never occur, or an extremal example whose fresh factorization
-misses the family's growth by more than extremal.GROWTH_REL_TOL).  Every
+2 domain error (validity window, an lp dimension outside 3..MAX_N, a
+search dimension outside 3..37, the largest n whose search round fits
+search.STACK_BUDGET, a factorization or a certificate bound overflowing
+the double range), 3 internal invariant violation (a failing
+certificate, which should never occur, or an extremal example whose fresh
+factorization misses the family's growth by more than
+extremal.GROWTH_REL_TOL).  Every
 successful invocation, and every exit 3, prints one JSON report
 validating against REPORT_SCHEMA, on one line.  A report writes each
 value once, and only values the computation produced: what depends on n
@@ -15,8 +17,8 @@ GrowthCertificate.row(k) forms from n and k, and the slack program) is not
 written, and ``l_strict`` holds only L's strict lower triangle, row i its
 first i entries.
 
-At module level this imports only the standard library and the pure-Python
-lpcert, which also defines DomainError and MAX_N.  The numerical modules,
+At module level this imports only the standard library, the package's
+DomainError and MAX_N, and the pure-Python lpcert.  The numerical modules,
 and so numpy, load inside the functions that use them, so ``ltlt lp`` and a
 usage error never import numpy; argparse and json load there too, so
 ``import ltlt.cli`` alone loads neither.  ``factor``, ``certify`` and
@@ -30,7 +32,8 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .lpcert import MAX_N, DomainError, build_program, solve_lp
+from . import MAX_N, DomainError
+from .lpcert import build_program, solve_lp
 
 if TYPE_CHECKING:
     import argparse
@@ -322,13 +325,9 @@ def cmd_certify(args) -> int:
     return _write_report("certify", inputs, outputs, args.out, cert.all_pass)
 
 
-def _check_n(command: str, n: int):
-    if not 3 <= n <= MAX_N:
-        raise DomainError(f"{command} requires 3 <= n <= {MAX_N}, got {n}")
-
-
 def cmd_lp(args) -> int:
-    _check_n("lp", args.n)
+    if not 3 <= args.n <= MAX_N:
+        raise DomainError(f"lp requires 3 <= n <= {MAX_N}, got {args.n}")
     sol = solve_lp(build_program(args.n))
     # the optimum is exact ints; a reader rebuilds the program as build_program(n).
     # tnn_bound is the program's optimum for |t_nn| / max|a_ij|, not a bound on it
@@ -372,7 +371,6 @@ def cmd_examples(args) -> int:
 
 
 def cmd_search(args) -> int:
-    _check_n("search", args.n)
     warm = ()
     inputs = {"n": args.n, "seed": args.seed, "restarts": args.restarts}
     if args.warm:

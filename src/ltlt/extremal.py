@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import DomainError
 from .aasen import AasenFactors, factorize
 from .growth import GrowthCertificate, growth_certificate
-from .lpcert import DomainError
 from .matcore import (
     PermutationVector,
     SymmetricMatrix,

@@ -21,9 +21,9 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import MAX_N, DomainError
 from .aasen import AasenFactors
-from .lpcert import MAX_N, DomainError
-from .matcore import _BLOCK, SymmetricMatrix, _frozen, _value_eq, max_abs, working_matrix
+from .matcore import SymmetricMatrix, _frozen, _value_eq, max_abs, working_matrix
 
 # A check row may undershoot its bound by this much before failing; absorbs
 # roundoff accumulation across dimensions up to ~50.
@@ -129,20 +129,18 @@ def growth_certificate(a: SymmetricMatrix, f: AasenFactors) -> GrowthCertificate
     else:
         # h[1,i] for i >= 3, then h[j,i] for 2 <= j < i, row-major: the strict
         # upper triangle of H without h[1,2], which is t[2,1].  lhs is made
-        # before H, and H's rows are gathered into it in blocks of _BLOCK, so
-        # the certificate's array does not land in H's space once H is freed
+        # before H, and H's rows are copied into it one at a time, through no
+        # view that outlives the copy, so the certificate's array does not
+        # land in H's space and H is freed at the del
         k = n * (n - 1) // 2 - 1
         lhs = np.empty(3 + k + 1 + 2 * (n - 2))
         lhs[:3] = lead
         h = working_matrix(f.L, f.T)
-        pos, cols = 3, np.arange(n)
-        for r0 in range(0, n - 1, _BLOCK):
-            upper = cols > np.arange(r0, min(r0 + _BLOCK, n - 1))[:, None]
-            if r0 == 0:
-                upper[0, 1] = False
-            rows = h[r0 : r0 + len(upper)][upper]
-            lhs[pos : pos + rows.size] = rows
-            pos += rows.size
+        pos = 3
+        for j in range(n - 1):
+            s = j + 1 + (j == 0)
+            lhs[pos : pos + n - s] = h[j, s:]
+            pos += n - s
         lhs[pos] = h[n - 1, n - 1]
         del h
         lhs[pos + 1 :] = np.column_stack((e[1:], d[2:])).ravel()

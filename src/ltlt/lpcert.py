@@ -10,10 +10,6 @@ has |t_99| / max|a_ij| = 32.741975, above the program's 2^8 - 228 = 28.
 The program data are Python ints.  No solver runs: solve_lp() returns the
 closed-form optimum, 0 for n <= 5 and 2^(n-1) - 28 from n = 6 on, once
 verify() has checked it and a dual certificate exactly against the rows.
-
-This module imports no numpy, so it also holds the package's DomainError
-and MAX_N: the CLI maps errors to exit codes through them, and ``ltlt lp``
-runs on this module alone.
 """
 from __future__ import annotations
 
@@ -21,15 +17,8 @@ from math import lcm
 from operator import mul
 from typing import NamedTuple, Tuple
 
-# Largest dimension: the bounds 2^(n-1) overflow a double from n = 1025 on.
-MAX_N = 1024
-
 # Slack for max_violation() on a float point, such as one read from a report.
 FEASIBILITY_TOL = 1e-9
-
-
-class DomainError(ValueError):
-    """Structurally valid request outside an operation's domain."""
 
 
 class ConstraintRow(NamedTuple):

@@ -3,22 +3,21 @@
 Coordinate pattern search on the d = n(n+1)/2 free entries of a symmetric
 matrix: probe +/- step along every coordinate, accept the best improving
 probe, halve the step when none improves.  The restarts run in lockstep
-(_search_group): each round scores the point and the 2d probes of every
-restart still searching with the Aasen sweep that factorize() runs on a
-stack of one, so every value is the one evaluate_candidate() gives, and a
-round's stack shape depends only on how many restarts are live.  The
-outcome is the argmax over restarts, ties going to the lowest restart index.
+groups (_search_group): each round scores the point and the 2d probes of
+every restart of the group still searching as one stack, with the Aasen
+sweep that factorize() runs on a stack of one, so every value is the one
+evaluate_candidate() gives, and a round's stack shape depends only on how
+many restarts are live.  The outcome is the argmax over restarts, ties
+going to the lowest restart index.
 
-A round builds its probes in slices of at most STACK_BUDGET doubles, each
-just before its sweep, so it holds one slice's matrices at a time.
-_stacked_growth() runs a slice through a sweep plan of its size
-(aasen._SweepPlan: the sweep's buffers and per-step views, built once).  A
-round reuses the last round's plan of each size it stacks and drops the
-rest.  It stacks as many probes as the round before unless a restart has
-finished, so it builds none, and a one-restart search builds one plan.  A
-round runs at most two plans, one for its full slices and one for the last,
-and a group's plans end with its call, so searches in different threads
-share nothing.
+A group holds as many restarts as fit one round's stack in STACK_BUDGET
+doubles, so every round is one _stacked_growth() call, through a sweep plan
+of its size (aasen._SweepPlan: the sweep's buffers and per-step views,
+built once).  A group keeps its plan from round to round and builds a new
+one only when a restart finishes, so a one-restart search builds one plan.
+A plan ends with its group's _search_group() call, so searches in different
+threads share nothing.  One restart's round must fit the budget, which
+bounds n at 37.
 """
 from __future__ import annotations
 
@@ -28,6 +27,7 @@ from typing import List, Tuple
 
 import numpy as np
 
+from . import DomainError
 from .aasen import _SweepPlan, factorize
 from .growth import growth_factor
 from .matcore import SymmetricMatrix, max_abs
@@ -36,8 +36,9 @@ from .matcore import SymmetricMatrix, max_abs
 # distance below which a restart stops.
 INITIAL_STEP, SHRINK, MIN_STEP = 0.25, 0.5, 1e-6
 
-# Most doubles in one kernel stack (matrices times n^2) and in each (restarts,
-# 2d + 1) round array of a lockstep group; at least one matrix and one restart.
+# Most doubles in one kernel stack: a lockstep group of restarts whose rounds
+# of 2d + 1 matrices of n^2 doubles fit it.  SearchConfig admits the n whose
+# one-restart round fits.
 STACK_BUDGET = 1 << 21
 
 
@@ -50,6 +51,11 @@ class SearchConfig:
     warm_starts: Tuple[SymmetricMatrix, ...] = ()
 
     def __post_init__(self):
+        top = 2  # the largest n with (n(n+1) + 1) n^2 <= STACK_BUDGET
+        while ((top + 1) * (top + 2) + 1) * (top + 1) ** 2 <= STACK_BUDGET:
+            top += 1
+        if not 3 <= self.n <= top:
+            raise DomainError(f"search requires 3 <= n <= {top}, got {self.n}")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
         if self.max_iters < 1:
@@ -62,8 +68,6 @@ class SearchConfig:
                 raise ValueError(f"warm start has dimension {w.n}, expected {self.n}")
             if max_abs(w) > 1.0:
                 raise ValueError("warm start entries must lie in [-1, 1]")
-        if self.n < 3:
-            raise ValueError("search requires n >= 3")
 
 
 @dataclass(frozen=True)
@@ -106,10 +110,11 @@ def _triangle(n: int):
 def _search_group(x: np.ndarray, max_iters: int, n: int) -> Tuple[np.ndarray, int]:
     """Search from the (G, d) starts x in lockstep, leaving the best points in x.
 
-    Returns (best values, evaluations).  Every round scores all 2d + 1
-    columns of each live restart (step >= MIN_STEP): column 0 is its point,
-    so the first round scores the starts, and the others its +/- step probes,
-    also those that clipping to [-1, 1] leaves equal to the point.  A
+    Returns (best values, evaluations).  Every round scores, in one stack,
+    all 2d + 1 columns of each live restart (step >= MIN_STEP): column 0 is
+    its point, so the first round scores the starts, and the others its
+    +/- step probes, also those that clipping to [-1, 1] leaves equal to the
+    point.  A
     re-scored point gets the bits of its value, and a clipped probe is the
     same matrix, so neither can beat it; evaluations count each start once
     and each probe that moved.  A restart takes its first probe
@@ -120,8 +125,7 @@ def _search_group(x: np.ndarray, max_iters: int, n: int) -> Tuple[np.ndarray, in
     # column 0 stays put (x + -0.0 is x, bit for bit); 2k+1, 2k+2 probe x[k] +/- step
     coord = np.arange(-1, 2 * d) // 2
     sign = np.array([-0.0] + [1.0, -1.0] * d)
-    size, sym = max(1, STACK_BUDGET // (n * n)), _triangle(n)[1]
-    evals, plans = g, {}  # the last round's sweep plans, by stack size
+    sym, evals, plan = _triangle(n)[1], g, None
     live = np.arange(g)
 
     for _ in range(max_iters):
@@ -130,16 +134,13 @@ def _search_group(x: np.ndarray, max_iters: int, n: int) -> Tuple[np.ndarray, in
         cand = np.minimum(np.maximum(xx + step[live, None] * sign, -1.0), 1.0)
         evals += int(np.count_nonzero(cand != xx))
         # probe (r, c) is xl[r] with entry coord[c] set to cand[r, c]
-        owner, col = np.divmod(np.arange(cand.size), coord.shape[0])
-        at, flat = coord[col], cand.reshape(-1)
-        vals, used = np.empty(cand.size), {}
-        for s in range(0, cand.size, size):
-            probes = xl[owner[s : s + size]]
-            b = probes.shape[0]
-            probes[np.arange(b), at[s : s + size]] = flat[s : s + size]
-            plan = used[b] = used.get(b) or plans.get(b) or _SweepPlan(n, b, reuse=True)
-            vals[s : s + size] = _stacked_growth(probes[:, sym].reshape(b, n, n), plan)
-        vals, plans = vals.reshape(cand.shape), used
+        b = cand.size
+        owner, col = np.divmod(np.arange(b), coord.shape[0])
+        probes = xl[owner]
+        probes[np.arange(b), coord[col]] = cand.reshape(-1)
+        if plan is None or plan.shape[0] != b:  # a restart finished
+            plan = _SweepPlan(n, b, reuse=True)
+        vals = _stacked_growth(probes[:, sym].reshape(b, n, n), plan).reshape(cand.shape)
         # the first maximum wins, so a probe that only ties stays put
         i = vals.argmax(axis=1)
         rows = np.arange(live.shape[0])
@@ -158,7 +159,7 @@ def maximize_growth(config: SearchConfig) -> SearchOutcome:
     d = iu[0].shape[0]
     warm = [w.entries[iu] for w in config.warm_starts]
     num_starts = max(config.restarts, len(warm))
-    group = max(1, STACK_BUDGET // (2 * d + 1))
+    group = STACK_BUDGET // ((2 * d + 1) * n * n)  # >= 1: SearchConfig checked n
     per_restart, evaluations, top = [], 0, None
     for g0 in range(0, num_starts, group):
         x = np.array([

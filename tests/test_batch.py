@@ -217,10 +217,14 @@ def test_search_matches_scalar_oracle_restarts_finish_apart():
 
 
 def test_search_stacks_stay_within_budget(monkeypatch):
-    # a budget of a few matrices splits every round into several kernel
-    # calls and the restarts into several lockstep groups
-    n, budget = 4, 48
-    cfg = SearchConfig(n=n, restarts=5, seed=11, max_iters=30)
+    # a budget of two n = 4 rounds (2 x 21 matrices of 16 doubles) makes
+    # lockstep groups of 2, 2 and 1 of the five restarts, and each round of
+    # a group is one kernel call.  The extremal start stops after the 18
+    # rounds that shrink its step below MIN_STEP; every other restart runs
+    # all 30 rounds
+    n, budget = 4, 2 * 21 * 16
+    warm = extremal_matrix(4, 0.05).A
+    cfg = SearchConfig(n=n, restarts=5, seed=11, max_iters=30, warm_starts=(warm,))
     want = maximize_growth_scalar(cfg)
     sizes, plans, groups, starts = [], [], [], []
 
@@ -240,14 +244,34 @@ def test_search_stacks_stay_within_budget(monkeypatch):
     monkeypatch.setattr(search, "_search_group", group)
     _assert_same_outcome(maximize_growth(cfg), want)
     assert groups == [2, 2, 1]
+    assert starts == [0, 30, 60]
+    assert sizes == [42] * 18 + [21] * 12 + [42] * 30 + [21] * 30
     assert max(sizes) * n * n <= budget
-    assert len(sizes) > 3 * cfg.max_iters
     # each stack runs on a plan of its size.  Within a lockstep group, a
-    # stack of the size of the one before it, in the same round or the last
-    # of the round before, reuses that plan; a group builds its own plans
+    # round reuses the last round's plan unless a restart has finished; a
+    # group builds its own plans
     assert all(p.shape == (b, n, n) for p, b in zip(plans, sizes))
     for i in range(1, len(plans)):
         if i in starts:
             assert all(plans[i] is not p for p in plans[:i])
         else:
             assert (plans[i] is plans[i - 1]) == (sizes[i] == sizes[i - 1])
+
+
+def test_search_outcome_does_not_depend_on_the_groups(monkeypatch):
+    # the default budget runs these four restarts as one lockstep group, a
+    # budget of one n = 5 round as four groups of one
+    warm = extremal_matrix(5, 0.01).A
+    cfg = SearchConfig(n=5, restarts=4, seed=13, max_iters=40, warm_starts=(warm,))
+    want = maximize_growth(cfg)
+    groups = []
+
+    def group(x, *args):
+        groups.append(x.shape[0])
+        return search_group(x, *args)
+
+    search_group = search._search_group
+    monkeypatch.setattr(search, "STACK_BUDGET", (2 * 15 + 1) * 5 * 5)
+    monkeypatch.setattr(search, "_search_group", group)
+    _assert_same_outcome(maximize_growth(cfg), want)
+    assert groups == [1, 1, 1, 1]

@@ -252,10 +252,13 @@ def test_cmd_lp_solves_once(capsys, monkeypatch):
 
 @pytest.mark.parametrize("command", ["lp", "search"])
 def test_cmd_rejects_n_past_max(command, capsys):
+    # lp runs up to MAX_N; search up to 37, where one restart's round still
+    # fits search.STACK_BUDGET
     code, out, err = run_cli(capsys, command, "--n", "1100")
     assert code == EXIT_DOMAIN
     assert out == ""
-    assert "n <= 1024, got 1100" in err
+    limit = {"lp": 1024, "search": 37}[command]
+    assert f"{command} requires 3 <= n <= {limit}, got 1100" in err
 
 
 def test_huge_header_is_parse_error(tmp_path, capsys):
@@ -429,6 +432,14 @@ def test_cmd_search_deterministic(capsys):
 def test_cmd_search_bad_n(capsys):
     code, out, err = run_cli(capsys, "search", "--n", "2")
     assert code == EXIT_DOMAIN
+
+
+def test_cmd_search_n_past_the_stack_budget(capsys):
+    # n = 38 is the first n whose one-restart round does not fit one stack;
+    # SearchConfig checks n before its other fields
+    code, out, err = run_cli(capsys, "search", "--n", "38", "--restarts", "0")
+    assert (code, out) == (EXIT_DOMAIN, "")
+    assert err == "error: search requires 3 <= n <= 37, got 38\n"
 
 
 def test_cmd_search_negative_seed(capsys):
@@ -664,7 +675,7 @@ def test_lazy_namespace_resolves_every_name():
 )
 def test_domain_errors_from_lazily_imported_modules(tmp_path, argv, message):
     # DeltaWindowError and UndefinedGrowthError come from modules cli imports
-    # inside the command; main maps them to exit 2 through lpcert.DomainError
+    # inside the command; main maps them to exit 2 through ltlt.DomainError
     (tmp_path / "zero.txt").write_text("symmetric 3\n0 0 0\n0 0 0\n0 0 0\n")
     argv = [a.format(tmp=tmp_path) for a in argv]
     proc = subprocess.run(

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from _helpers import maximize_growth_scalar, rand_sym
-from ltlt import search
+from ltlt import DomainError, search
 from ltlt.extremal import extremal_matrix
 from ltlt.matcore import SymmetricMatrix, max_abs
 from ltlt.search import (
@@ -42,8 +42,24 @@ def test_config_validation():
         SearchConfig(n=4, warm_starts=(SymmetricMatrix(np.eye(3)),))
     with pytest.raises(ValueError):
         SearchConfig(n=3, warm_starts=(SymmetricMatrix(2.0 * np.eye(3)),))
-    with pytest.raises(ValueError, match="search requires n >= 3"):
+    with pytest.raises(ValueError, match=r"search requires 3 <= n <= 37, got 2$"):
         SearchConfig(n=2)
+
+
+def test_config_domain_is_the_n_whose_round_fits_the_stack_budget(monkeypatch):
+    # one restart's round stacks its point and 2d = n(n+1) probes of n^2
+    # doubles, and must fit STACK_BUDGET
+    top = max(n for n in range(3, 100) if (n * (n + 1) + 1) * n * n <= search.STACK_BUDGET)
+    assert top == 37
+    for n in (2, 38):
+        with pytest.raises(DomainError, match=rf"search requires 3 <= n <= 37, got {n}$"):
+            SearchConfig(n=n)
+    assert SearchConfig(n=37).n == 37
+    # the limit is read from the budget when the check runs
+    monkeypatch.setattr(search, "STACK_BUDGET", 2 * 21 * 16)
+    assert SearchConfig(n=4).n == 4
+    with pytest.raises(DomainError, match=r"search requires 3 <= n <= 4, got 5$"):
+        SearchConfig(n=5)
 
 
 def test_config_rejects_negative_seed():
