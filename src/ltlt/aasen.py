@@ -4,10 +4,10 @@ L is unit lower triangular with first column e_1, T is symmetric tridiagonal,
 and P is chosen by partial pivoting so that every multiplier satisfies
 |l_ij| <= 1.  There is one column sweep over a stack of matrices, split into
 a plan and a run: a _SweepPlan holds the sweep's buffers for one (B, n)
-stack shape, and every run() resets them and sweeps a stack.  factorize()
-runs a one-shot plan on a stack of one; search owns the stacked growth
-factor.  Every item of a stack, in every run of a plan, gets the bits
-factorize() gives it alone.
+stack shape, and every run() resets them and sweeps a stack.  A plan of
+B > 1 matrices keeps each pivot step's views; factorize()'s plan of one
+makes them as it goes.  search owns the stacked growth factor.  Every item
+of a stack, in every run of a plan, gets the bits factorize() gives it alone.
 """
 from __future__ import annotations
 
@@ -109,24 +109,24 @@ class _SweepPlan:
 
     Plan and run.  A step works through ~30 views of the buffers, two
     matmul outputs and a pair of swap indices; at search sizes, making them
-    is a fifth to a third of a sweep's time.  A plan built with reuse=True
-    makes them all at build time and keeps them, so its runs make none; a
-    one-shot plan (the default) makes each step's views as the loop reaches
-    it and drops them after, so it holds little more than the buffers (at
-    n = 500, keeping all 500 steps' views would raise the sweep's peak
-    memory from 4.1 to 7.2 MB).  Both run the one loop body below.  Every
-    run, the first included, resets the state it sweeps: it zeroes the L
-    block below row 0 and the block work, and loads the A block and the
-    index column of z; hm and the per-step outputs are written before they
-    are read.  So every run of a plan gives each item the bits a new plan,
-    and factorize() on the item alone, give it.
+    is a fifth to a third of a sweep's time.  A plan of B > 1 matrices, which
+    the search reruns every round, makes them at build time and keeps them,
+    so its runs make none; a plan of one, which factorize() runs once, makes
+    each step's views as the loop reaches it and drops them after, holding
+    little more than the buffers (at n = 500, all 500 steps' views would
+    raise the sweep's peak memory from 4.1 to 7.2 MB).  Both run the one
+    loop body below.  Every run, the first included, resets the state it
+    sweeps: it zeroes the L block below row 0 and the block work, and loads
+    the A block and the index column of z; hm and the per-step outputs are
+    written before they are read.  So every run of a plan gives each item
+    the bits a new plan, and factorize() on the item alone, give it.
 
     A plan belongs to the call that builds it: run() returns views into its
     buffers, which the next run overwrites, and two threads must not run one
     plan at once.  Nothing keeps plans between calls.
     """
 
-    def __init__(self, n: int, b: int, reuse: bool = False):
+    def __init__(self, n: int, b: int):
         # rows of z are w >= 2n+1 doubles wide, with n*w a multiple of 8, so
         # that every item of a stack starts on a multiple of 8 doubles
         step = 8 // gcd(n, 8)
@@ -148,7 +148,7 @@ class _SweepPlan:
         work[0] = -0.0
         self._t = work[1 : 2 * n].T
         self._hm = np.empty((b, -(-n // 8) * 8))
-        self._steps = list(self._views()) if reuse else None
+        self._steps = list(self._views()) if b > 1 else None
 
     def _views(self):
         """Each pivot step's views and swap indices, in step order.
@@ -194,8 +194,7 @@ class _SweepPlan:
         self._work[1:] = 0.0
         self._a[...] = a
         self._perm[...] = self._start
-        steps = self._views() if self._steps is None else self._steps
-        for (rowoff, perm, hj, alpha), update, column, swap in steps:
+        for (rowoff, perm, hj, alpha), update, column, swap in self._steps or self._views():
             col = zflat[rowoff + perm]
             if update is None:  # no row has moved and no product is formed: h[0] = t_11 = a_11
                 hj[...] = alpha[...] = col[0]
@@ -279,9 +278,7 @@ def tridiag_solve(tri: SymmetricTridiagonal, y) -> np.ndarray:
     d = tri.diag.copy()
     sup = np.zeros(n)  # sup[k]  = row k   entry in column k+1
     sup2 = np.zeros(n)  # sup2[k] = row k   entry in column k+2 (pivoting fill)
-    if n > 1:
-        sub[: n - 1] = tri.offdiag
-        sup[: n - 1] = tri.offdiag
+    sub[: n - 1] = sup[: n - 1] = tri.offdiag
     rhs = y.copy()
     z = np.zeros(n)
 

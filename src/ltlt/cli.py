@@ -128,6 +128,9 @@ REPORT_SCHEMA = {
                 "example": {
                     "type": "object",
                     "additionalProperties": False,
+                    "required": ["expected_growth", "reference_residual", "reference_growth",
+                                 "recomputed_residual", "recomputed_growth", "growth_rel_diff",
+                                 "certificates_pass", "matrix_file"],
                     "properties": {
                         "expected_growth": _NUM,
                         "reference_residual": _NUM,

@@ -88,6 +88,8 @@ class PermutationVector:
         # array_equal rejects every entry the cast changed, such as 1.7 -> 1
         if p.ndim != 1 or not np.array_equal(p, q) or sorted(p.tolist()) != list(range(p.shape[0])):
             raise ValueError("p is not a permutation of 0..n-1")
+        if p.shape[0] < 1:
+            raise ValueError("permutation dimension must be >= 1")
         object.__setattr__(self, "p", p)
 
     @classmethod
@@ -114,13 +116,15 @@ class UnitLowerTriangular:
         a = _frozen(self.strict)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"expected a square array, got shape {a.shape}")
+        if a.shape[0] < 1:
+            raise ValueError("matrix dimension must be >= 1")
         _check_finite(a, "multiplier")  # a NaN would pass the |l| <= 1 test below
         n = a.shape[0]
         if np.any(a, where=np.arange(n) >= np.arange(n)[:, None]):
             raise ValueError("entries on or above the diagonal must be zero")
         if np.any(a[1:, :1] != 0.0):
             raise ValueError("first column must be e_1 (no multipliers in column 0)")
-        if a.size and (a.max() > 1.0 or a.min() < -1.0):
+        if a.max() > 1.0 or a.min() < -1.0:
             raise ValueError("multiplier exceeds 1 in magnitude")
         object.__setattr__(self, "strict", a)
 
@@ -152,7 +156,9 @@ class SymmetricTridiagonal:
         e = _frozen(self.offdiag)
         if d.ndim != 1 or e.ndim != 1:
             raise ValueError(f"diag and offdiag must be 1-d, got shapes {d.shape} and {e.shape}")
-        if e.shape[0] != max(d.shape[0] - 1, 0):
+        if d.shape[0] < 1:
+            raise ValueError("matrix dimension must be >= 1")
+        if e.shape[0] != d.shape[0] - 1:
             raise ValueError(
                 f"need diag of length n and offdiag of length n-1, "
                 f"got {d.shape[0]} and {e.shape[0]}"

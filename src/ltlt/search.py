@@ -114,10 +114,9 @@ def _search_group(x: np.ndarray, max_iters: int, n: int) -> Tuple[np.ndarray, in
     all 2d + 1 columns of each live restart (step >= MIN_STEP): column 0 is
     its point, so the first round scores the starts, and the others its
     +/- step probes, also those that clipping to [-1, 1] leaves equal to the
-    point.  A
-    re-scored point gets the bits of its value, and a clipped probe is the
-    same matrix, so neither can beat it; evaluations count each start once
-    and each probe that moved.  A restart takes its first probe
+    point.  A re-scored point gets the bits of its value, and a clipped probe
+    is the same matrix, so neither can beat it; evaluations count each start
+    once and each probe that moved.  A restart takes its first probe
     (coordinates in order, +step before -step) that attains its maximum, if
     that beats its value.  max_iters must be at least 1."""
     g, d = x.shape
@@ -139,7 +138,7 @@ def _search_group(x: np.ndarray, max_iters: int, n: int) -> Tuple[np.ndarray, in
         probes = xl[owner]
         probes[np.arange(b), coord[col]] = cand.reshape(-1)
         if plan is None or plan.shape[0] != b:  # a restart finished
-            plan = _SweepPlan(n, b, reuse=True)
+            plan = _SweepPlan(n, b)
         vals = _stacked_growth(probes[:, sym].reshape(b, n, n), plan).reshape(cand.shape)
         # the first maximum wins, so a probe that only ties stays put
         i = vals.argmax(axis=1)

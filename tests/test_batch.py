@@ -131,13 +131,14 @@ def _fixture(n):
     return read_matrix(str(Path(__file__).parent / "data" / "tnn_n9.txt")).entries
 
 
-@pytest.mark.parametrize("reuse", [True, False])
+@pytest.mark.parametrize("stacked", [True, False])
 @pytest.mark.parametrize("n", [6, 9])
-def test_reused_plan_matches_a_new_plan_and_the_oracle(n, reuse):
-    # one plan, of either kind, runs stacks in turn that leave different
-    # state behind: a run that missed a reset of z or of the block work would
-    # differ from a new plan's run (in the upper part of z, the block work or
-    # the factors)
+def test_reused_plan_matches_a_new_plan_and_the_oracle(n, stacked):
+    # one plan runs stacks in turn that leave different state behind: a run
+    # that missed a reset of z or of the block work would differ from a new
+    # plan's run (in the upper part of z, the block work or the factors).  A
+    # plan of three keeps its steps' views; a plan of one, which runs every
+    # matrix of the stacks in turn, makes them as it goes
     rng = np.random.default_rng([54, n])
     rand = [_sym(m) for m in rng.uniform(-1.0, 1.0, (9, n, n))]
     quarter = [np.round(4.0 * m) / 4.0 for m in rand[:2]]
@@ -150,9 +151,12 @@ def test_reused_plan_matches_a_new_plan_and_the_oracle(n, reuse):
         [rand[5], fixture, quarter[1]],
         rand[6:9],
     ]
-    plan = _SweepPlan(n, 3, reuse=reuse)
-    for stack in map(np.array, stacks):
-        fresh = _SweepPlan(n, 3)
+    b = 3 if stacked else 1
+    runs = [np.array(s) for s in stacks] if stacked else [np.array([m]) for s in stacks for m in s]
+    plan = _SweepPlan(n, b)
+    assert (plan._steps is not None) == stacked
+    for stack in runs:
+        fresh = _SweepPlan(n, b)
         want_z, want_t = fresh.run(stack)
         z, t = plan.run(stack)
         assert z.tobytes() == want_z.tobytes() and t.tobytes() == want_t.tobytes()
@@ -163,7 +167,7 @@ def test_reused_plan_matches_a_new_plan_and_the_oracle(n, reuse):
             got = (perm, np.tril(z[i, :, :n], -1), t[i, ::2], t[i, 1::2])
             for g, e in zip(got, factorize_scalar(m)):
                 assert g.dtype == e.dtype and g.tobytes() == e.tobytes()
-        assert _stacked_growth(stack, plan).tobytes() == _stacked_growth(stack, _SweepPlan(n, 3)).tobytes()
+        assert _stacked_growth(stack, plan).tobytes() == _stacked_growth(stack, _SweepPlan(n, b)).tobytes()
     with pytest.raises(ValueError, match=r"stack has shape \(2, "):
         plan.run(np.zeros((2, n, n)))
 

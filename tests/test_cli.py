@@ -327,6 +327,19 @@ def test_cmd_examples(tmp_path, capsys):
     assert np.array_equal(parsed.entries, extremal_matrix(6, 0.4).A.entries)
 
 
+def test_examples_report_missing_a_field_fails_the_schema(tmp_path, capsys):
+    # every field cmd_examples writes is required, as the search, lp and
+    # certificate objects' fields are
+    rep = report_of(capsys, "examples", "--n", "4", "--delta", "0.5", "--out", str(tmp_path))
+    required = REPORT_SCHEMA["properties"]["outputs"]["properties"]["example"]["required"]
+    assert sorted(rep["outputs"]["example"]) == sorted(required) and len(required) == 8
+    for field in required:
+        broken = json.loads(json.dumps(rep))
+        del broken["outputs"]["example"][field]
+        with pytest.raises(jsonschema.ValidationError, match=f"'{field}' is a required property"):
+            jsonschema.validate(broken, REPORT_SCHEMA)
+
+
 def test_cmd_examples_close_deltas_write_separate_files(tmp_path, capsys):
     # deltas that agree to 6 digits once shared one file name, the second
     # overwriting the first

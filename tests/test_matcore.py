@@ -346,6 +346,11 @@ def test_unit_lower_invariants():
     [
         (lambda: SymmetricMatrix(np.zeros((2, 3))), r"square matrix, got shape \(2, 3\)"),
         (lambda: SymmetricMatrix(np.zeros((0, 0))), "matrix dimension must be >= 1"),
+        # the three factor types used to construct at n = 0, and a solve or
+        # max_abs() through them then raised IndexError or numpy's zero-size error
+        (lambda: SymmetricTridiagonal([], []), "matrix dimension must be >= 1"),
+        (lambda: UnitLowerTriangular(np.zeros((0, 0))), "matrix dimension must be >= 1"),
+        (lambda: PermutationVector([]), "permutation dimension must be >= 1"),
         (lambda: SymmetricMatrix([[1.0, 2.0], [3.0, 1.0]]), "not exactly symmetric"),
         (lambda: SymmetricMatrix.from_full(np.zeros((3, 2))), r"square matrix, got shape \(3, 2\)"),
         # non-finite entries are rejected first, by name, in both constructors
@@ -408,7 +413,8 @@ def test_unit_lower_invariants():
          "right-hand side entries must be finite, got inf"),
     ],
     ids=[
-        "sym-non-square", "sym-empty", "sym-asymmetric", "from-full-non-square",
+        "sym-non-square", "sym-empty", "tridiag-empty", "lower-empty", "perm-empty",
+        "sym-asymmetric", "from-full-non-square",
         "from-full-nan-above", "from-full-nan-below", "sym-inf", "sym-nan", "from-full-nan-diag",
         "from-full-inf", "from-full-skew-overflow", "perm-0d", "lower-0d", "tridiag-0d-diag",
         "tridiag-0d-offdiag",
