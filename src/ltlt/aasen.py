@@ -21,6 +21,7 @@ from .matcore import (
     SymmetricMatrix,
     SymmetricTridiagonal,
     UnitLowerTriangular,
+    _real,
 )
 
 # Candidates within one part in 1e12 of the largest magnitude count as tied.
@@ -255,7 +256,7 @@ def factorize(a: SymmetricMatrix) -> AasenFactors:
 
 def _check_rhs(y, n: int) -> np.ndarray:
     """y as a float array, after the checks both solves make: length n, finite entries."""
-    y = np.asarray(y, dtype=float)
+    y = np.asarray(_real(y), dtype=float)
     if y.shape != (n,):
         raise ValueError(f"right-hand side has length {y.shape}, expected ({n},)")
     if not np.isfinite(y).all():

@@ -145,7 +145,8 @@ REPORT_SCHEMA = {
                 "search": {
                     "type": "object",
                     "additionalProperties": False,
-                    "required": ["best_growth", "bound", "gap", "evaluations"],
+                    "required": ["best_growth", "bound", "gap", "evaluations", "per_restart_best",
+                                 "best_matrix"],
                     "properties": {
                         "best_growth": _NUM,
                         "bound": _NUM,

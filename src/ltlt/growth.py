@@ -6,11 +6,11 @@ matrix H = T L^T, and on the trailing rows of T.  All bounds are taken
 relative to the largest entry magnitude of the input matrix.
 
 The bounds are evaluated as two arrays, left-hand sides and bounds, in a
-fixed row order.  A certificate stores the left-hand sides; the bounds
-depend on n alone and are built when first asked for
-(``GrowthCertificate.bound``).  ``row(k)`` returns row k labelled, its label
-formed from n and k alone, and ``worst()`` returns the row of smallest
-margin.
+fixed row order.  A certificate is its left-hand sides and n: its growth
+factor ``rho`` is the largest lhs over T's rows, and the bounds, which
+depend on n alone, and the verdict ``all_pass`` are built when first asked
+for.  ``row(k)`` returns row k labelled, its label formed from n and k
+alone, and ``worst()`` returns the row of smallest margin.
 """
 from __future__ import annotations
 
@@ -43,25 +43,36 @@ class CheckRow(NamedTuple):
 
 @dataclass(frozen=True)
 class GrowthCertificate:
-    """Instantiated entrywise bounds for one factorization.
+    """Instantiated entrywise bounds for one factorization: its rows and n.
 
     Row k checks ``lhs[k] <= bound[k]``, in the row order documented on
     growth_certificate(); ``row(k)`` gives it with its label and margin.
-    Only ``lhs`` is stored: ``bound`` depends on n alone and is built on
-    first access.  Both arrays are read-only; an ``lhs`` that is not
-    already a read-only array is copied first.
+    Only ``lhs``, one value per row for n, and ``n`` are stored; ``rho``,
+    ``all_pass`` and ``bound`` are read from them.  Both arrays are
+    read-only; an ``lhs`` that is not already a read-only float array is copied.
     """
 
-    rho: float
     lhs: np.ndarray
-    all_pass: bool
     n: int
     __eq__ = _value_eq
 
     def __post_init__(self):
-        lhs = self.lhs
-        if not isinstance(lhs, np.ndarray) or lhs.flags.writeable:
+        lhs, n = self.lhs, self.n
+        if not isinstance(lhs, np.ndarray) or lhs.flags.writeable or lhs.dtype != float:
             object.__setattr__(self, "lhs", _frozen(lhs))
+        rows = 2 * n - 1 if n < 3 else n * (n - 1) // 2 + 2 * n - 1  # no shape fits n < 1
+        if self.lhs.shape != (rows,):
+            raise ValueError(f"lhs of shape {self.lhs.shape} does not hold the rows for n = {n}")
+
+    @property
+    def rho(self) -> float:
+        """max |t_ij| / max |a_ij| exactly (rounding is monotone): the largest lhs over T's rows."""
+        return float(np.concatenate((self.lhs[:3], self.lhs[-2 * (self.n - 2) :])).max())
+
+    @cached_property
+    def all_pass(self) -> bool:
+        """Whether every row keeps within its bound, up to MARGIN_TOL."""
+        return bool(np.all(self.bound - self.lhs >= -MARGIN_TOL))
 
     @cached_property
     def bound(self) -> np.ndarray:
@@ -82,18 +93,19 @@ class GrowthCertificate:
         return self.row(int(np.argmin(self.bound - self.lhs)))
 
 
-def _check_dims(a: SymmetricMatrix, f: AasenFactors):
+def _scale(a: SymmetricMatrix, f: AasenFactors, what: str) -> float:
+    """max |a_ij|, after checking that the factors are A's size and A is not zero."""
     if f.n != a.n:
         raise ValueError(f"dimension mismatch: A is {a.n}, its factors are {f.n}")
+    m = max_abs(a)
+    if m == 0.0:
+        raise UndefinedGrowthError(f"{what} is undefined for the zero matrix")
+    return m
 
 
 def growth_factor(a: SymmetricMatrix, f: AasenFactors) -> float:
     """max |t_ij| / max |a_ij| over the final tridiagonal factor."""
-    _check_dims(a, f)
-    m = max_abs(a)
-    if m == 0.0:
-        raise UndefinedGrowthError("growth factor is undefined for the zero matrix")
-    return f.T.max_abs() / m
+    return f.T.max_abs() / _scale(a, f, "growth factor")
 
 
 def growth_certificate(a: SymmetricMatrix, f: AasenFactors) -> GrowthCertificate:
@@ -115,11 +127,7 @@ def growth_certificate(a: SymmetricMatrix, f: AasenFactors) -> GrowthCertificate
     entry x.  Raises OverflowError for n > MAX_N, where the bounds are not
     representable.
     """
-    _check_dims(a, f)
-    m = max_abs(a)
-    if m == 0.0:
-        raise UndefinedGrowthError("certificate is undefined for the zero matrix")
-    n = f.n
+    m, n = _scale(a, f, "certificate"), f.n
     if n > MAX_N:
         raise OverflowError(f"certificate needs n <= {MAX_N} (2^(n-1) overflows a double), got {n}")
     d, e = f.T.diag, f.T.offdiag
@@ -132,8 +140,7 @@ def growth_certificate(a: SymmetricMatrix, f: AasenFactors) -> GrowthCertificate
         # before H, and H's rows are copied into it one at a time, through no
         # view that outlives the copy, so the certificate's array does not
         # land in H's space and H is freed at the del
-        k = n * (n - 1) // 2 - 1
-        lhs = np.empty(3 + k + 1 + 2 * (n - 2))
+        lhs = np.empty(n * (n - 1) // 2 + 2 * n - 1)
         lhs[:3] = lead
         h = working_matrix(f.L, f.T)
         pos = 3
@@ -147,11 +154,7 @@ def growth_certificate(a: SymmetricMatrix, f: AasenFactors) -> GrowthCertificate
     lhs /= m
     np.abs(lhs, out=lhs)
     lhs.setflags(write=False)  # fresh, so the certificate keeps it without a copy
-    margin = _bounds(n)
-    margin -= lhs
-    all_pass = bool(np.all(margin >= -MARGIN_TOL))
-    rho = f.T.max_abs() / m  # growth_factor(a, f) without a second scan of A
-    return GrowthCertificate(rho=rho, lhs=lhs, all_pass=all_pass, n=n)
+    return GrowthCertificate(lhs=lhs, n=n)
 
 
 def _label(n: int, k: int) -> str:

@@ -10,8 +10,16 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 
+def _real(a) -> np.ndarray:
+    """a as an array, after rejecting complex entries, which a float cast truncates."""
+    a = np.asarray(a)
+    if np.iscomplexobj(a):
+        raise ValueError(f"entries must be real, got {a.dtype}")
+    return a
+
+
 def _frozen(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=float)
+    out = np.array(_real(a), dtype=float)
     out.setflags(write=False)
     return out
 
@@ -59,7 +67,7 @@ class SymmetricMatrix:
         made exactly symmetric by copying the lower triangle upward (no
         averaging, so values survive bit-for-bit).
         """
-        a = np.array(a, dtype=float)
+        a = np.array(_real(a), dtype=float)
         _check_square_finite(a)
         with np.errstate(over="ignore"):  # a skew past the double range reads inf
             skew = float(np.max(np.abs(a - a.T))) if a.size else 0.0
@@ -81,7 +89,7 @@ class PermutationVector:
     __eq__ = _value_eq
 
     def __post_init__(self):
-        q = np.asarray(self.p)
+        q = _real(self.p)
         with np.errstate(invalid="ignore"):  # NaN, inf and huge floats cast to garbage
             p = q.astype(np.intp)
         p.setflags(write=False)

@@ -37,8 +37,9 @@ def run_cli(capsys, *argv):
 
 def check_report(out: str) -> dict:
     """Parse a report, validate it, and check what the schema cannot state:
-    a certificate has one lhs per row for its n, and its worst row is the
-    first row of smallest margin."""
+    a certificate has one lhs per row for its n, its worst row is the first
+    row of smallest margin, and the certificate rebuilt from lhs and n reads
+    the report's growth and all_pass."""
     report = json.loads(out)
     jsonschema.validate(report, REPORT_SCHEMA)
     assert report["schema_version"] == "6"
@@ -52,18 +53,15 @@ def check_report(out: str) -> dict:
         k = margin.index(min(margin))
         assert cert["worst"] == rebuilt.row(k)._asdict()
         assert list(cert["worst"].values())[1:] == [cert["lhs"][k], bound[k], margin[k]]
+        assert rebuilt.rho == report["outputs"]["growth"]
+        assert rebuilt.all_pass is cert["all_pass"]
     return report
 
 
 def _rebuilt_certificate(report: dict) -> growth.GrowthCertificate:
-    """The certificate of a certify report; its rows' labels and bounds follow from n."""
-    cert = report["outputs"]["certificate"]
-    return growth.GrowthCertificate(
-        rho=report["outputs"]["growth"],
-        lhs=np.array(cert["lhs"]),
-        all_pass=cert["all_pass"],
-        n=report["inputs"]["n"],
-    )
+    """The certificate of a certify report, from its lhs and n alone."""
+    lhs = report["outputs"]["certificate"]["lhs"]
+    return growth.GrowthCertificate(lhs=np.array(lhs), n=report["inputs"]["n"])
 
 
 def report_of(capsys, *argv):
@@ -327,15 +325,24 @@ def test_cmd_examples(tmp_path, capsys):
     assert np.array_equal(parsed.entries, extremal_matrix(6, 0.4).A.entries)
 
 
-def test_examples_report_missing_a_field_fails_the_schema(tmp_path, capsys):
-    # every field cmd_examples writes is required, as the search, lp and
-    # certificate objects' fields are
-    rep = report_of(capsys, "examples", "--n", "4", "--delta", "0.5", "--out", str(tmp_path))
-    required = REPORT_SCHEMA["properties"]["outputs"]["properties"]["example"]["required"]
-    assert sorted(rep["outputs"]["example"]) == sorted(required) and len(required) == 8
+@pytest.mark.parametrize(
+    "argv,key,fields",
+    [
+        (("examples", "--n", "4", "--delta", "0.5"), "example", 8),
+        (("search", "--n", "4", "--restarts", "2", "--seed", "0"), "search", 6),
+    ],
+    ids=["examples", "search"],
+)
+def test_report_missing_a_field_fails_the_schema(tmp_path, monkeypatch, capsys, argv, key, fields):
+    # every field cmd_examples and cmd_search write is required, as the lp
+    # and certificate objects' fields are
+    monkeypatch.chdir(tmp_path)  # examples writes its matrix file here
+    rep = report_of(capsys, *argv)
+    required = REPORT_SCHEMA["properties"]["outputs"]["properties"][key]["required"]
+    assert sorted(rep["outputs"][key]) == sorted(required) and len(required) == fields
     for field in required:
         broken = json.loads(json.dumps(rep))
-        del broken["outputs"]["example"][field]
+        del broken["outputs"][key][field]
         with pytest.raises(jsonschema.ValidationError, match=f"'{field}' is a required property"):
             jsonschema.validate(broken, REPORT_SCHEMA)
 

@@ -265,13 +265,37 @@ def test_certificate_arrays_are_read_only():
         cert.lhs[0] = 0.0
     with pytest.raises(ValueError):
         cert.bound[0] = 0.0
-    # bound depends on n alone: built on first access, not stored
-    assert "bound" not in GrowthCertificate.__dataclass_fields__
+    # a certificate is its rows and n: bound depends on n alone and is built
+    # on first access, rho and all_pass are read from lhs, none is stored
+    assert list(GrowthCertificate.__dataclass_fields__) == ["lhs", "n"]
     assert cert.bound is cert.bound
     # a caller's writeable lhs is copied, not frozen under the caller
     lhs = np.array(cert.lhs)
-    mine = GrowthCertificate(rho=cert.rho, lhs=lhs, all_pass=cert.all_pass, n=cert.n)
+    mine = GrowthCertificate(lhs=lhs, n=cert.n)
     assert lhs.flags.writeable and mine.lhs is not lhs and mine == cert
+    assert (mine.rho, mine.all_pass) == (cert.rho, cert.all_pass) == (1.0, True)
+    # only a read-only float lhs is kept as given: a read-only complex one is
+    # rejected, not truncated, as every matrix type's entries are
+    lhs = lhs.astype(complex)
+    lhs.setflags(write=False)
+    with pytest.raises(ValueError, match="entries must be real, got complex128"):
+        GrowthCertificate(lhs=lhs, n=cert.n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 9])
+def test_certificate_rejects_lhs_of_another_shape(n):
+    a = SymmetricMatrix(np.eye(n))
+    lhs = growth_certificate(a, factorize(a)).lhs
+    rows = len(lhs)
+    assert GrowthCertificate(lhs=lhs, n=n).rho == 1.0
+    # rho reads T's rows by position, so the rows of another n must not pass
+    for m in (n - 1, n + 1):
+        with pytest.raises(ValueError, match=rf"\({rows},\) does not hold the rows for n = {m}$"):
+            GrowthCertificate(lhs=lhs, n=m)
+    with pytest.raises(ValueError, match=rf"\(1, {rows}\) does not hold the rows for n = {n}$"):
+        GrowthCertificate(lhs=lhs[None, :], n=n)
+    with pytest.raises(ValueError, match=r"shape \(0,\) does not hold the rows for n = 0$"):
+        GrowthCertificate(lhs=[], n=0)
 
 
 def test_growth_scale_invariance():

@@ -411,6 +411,16 @@ def test_unit_lower_invariants():
          "right-hand side entries must be finite, got nan"),
         (lambda: solve(factorize(SymmetricMatrix(np.eye(2))), [np.inf, 0.0]),
          "right-hand side entries must be finite, got inf"),
+        # a float cast used to drop the imaginary part with only a ComplexWarning
+        (lambda: SymmetricMatrix(np.array([[1j]])), "entries must be real, got complex128"),
+        (lambda: SymmetricMatrix.from_full([[1.0, 1j], [1j, 1.0]]), "must be real, got complex128"),
+        (lambda: SymmetricTridiagonal([1.0, 2.0], [1j]), "must be real, got complex128"),
+        (lambda: UnitLowerTriangular(np.zeros((2, 2), complex)), "must be real, got complex128"),
+        (lambda: PermutationVector([0j, 1 + 0j]), "must be real, got complex128"),
+        (lambda: solve(factorize(SymmetricMatrix(np.eye(2))), [1j, 1.0]),
+         "entries must be real, got complex128"),
+        (lambda: tridiag_solve(SymmetricTridiagonal(np.ones(2), np.zeros(1)), [0.0, 1j]),
+         "entries must be real, got complex128"),
     ],
     ids=[
         "sym-non-square", "sym-empty", "tridiag-empty", "lower-empty", "perm-empty",
@@ -423,6 +433,8 @@ def test_unit_lower_invariants():
         "perm-fractional", "perm-nan", "assemble-dims", "residual-dims", "tridiag-solve-rhs",
         "solve-rhs",
         "tridiag-solve-nan", "tridiag-solve-inf", "solve-nan", "solve-inf",
+        "sym-complex", "from-full-complex", "tridiag-complex", "lower-complex", "perm-complex",
+        "solve-complex", "tridiag-solve-complex",
     ],
 )
 def test_constructors_and_solves_reject_bad_shapes_and_values(build, message):
