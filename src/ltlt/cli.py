@@ -8,14 +8,15 @@ search.STACK_BUDGET, a factorization or a certificate bound overflowing
 the double range), 3 internal invariant violation (a failing
 certificate, which should never occur, or an extremal example whose fresh
 factorization misses the family's growth by more than
-extremal.GROWTH_REL_TOL).  Every
-successful invocation, and every exit 3, prints one JSON report
-validating against REPORT_SCHEMA, on one line.  A report writes each
-value once, and only values the computation produced: what depends on n
-alone (the certificate's row labels and bounds, which
-GrowthCertificate.row(k) forms from n and k, and the slack program) is not
-written, and ``l_strict`` holds only L's strict lower triangle, row i its
-first i entries.
+extremal.GROWTH_REL_TOL).  Every successful invocation, and every exit 3,
+prints one JSON report validating against REPORT_SCHEMA, on one line.
+The schema is per command: it states each command's inputs and outputs
+once, and requires every field but factor's ``growth`` (the zero matrix
+has none) and search's ``warm``.  A report writes each value once, and
+only values the computation produced: what depends on n alone (the
+certificate's row labels and bounds, which GrowthCertificate.row(k) forms
+from n and k, and the slack program) is not written, and ``l_strict``
+holds only L's strict lower triangle, row i its first i entries.
 
 At module level this imports only the standard library, the package's
 DomainError and MAX_N, and the pure-Python lpcert.  The numerical modules,
@@ -57,108 +58,65 @@ class MatrixFileError(ValueError):
     """Unreadable or malformed matrix file (bad header, shape, token, or asymmetry)."""
 
 
+def _closed(*optional: str, **props) -> dict:
+    """An object with exactly ``props``, each required unless named in ``optional``."""
+    required = [k for k in props if k not in optional]
+    return {"type": "object", "additionalProperties": False, "required": required,
+            "properties": props}
+
+
 _NUM = {"type": "number"}
+_INT = {"type": "integer"}
+_STR = {"type": "string"}
+_BOOL = {"type": "boolean"}
 _NUM_ARRAY = {"type": "array", "items": _NUM}
 _MATRIX = {"type": "array", "items": _NUM_ARRAY}
+_FILE = _closed(path=_STR, n=_INT)
 
+# command -> (inputs, outputs)
+_COMMANDS = {
+    "factor": (_FILE, _closed(
+        "growth",  # the zero matrix has no growth factor
+        permutation={"type": "array", "items": _INT}, l_strict=_MATRIX, t_diag=_NUM_ARRAY,
+        t_offdiag=_NUM_ARRAY, residual=_NUM, growth=_NUM,
+    )),
+    "certify": (_FILE, _closed(
+        certificate=_closed(
+            lhs=_NUM_ARRAY,
+            worst=_closed(label=_STR, lhs=_NUM, bound=_NUM, margin=_NUM),  # growth.CheckRow
+            all_pass=_BOOL,
+        ),
+        growth=_NUM, residual=_NUM,
+    )),
+    "lp": (_closed(n=_INT), _closed(lp=_closed(objective=_NUM, point=_NUM_ARRAY, tnn_bound=_NUM))),
+    "examples": (_closed(n=_INT, delta=_NUM, out_dir=_STR), _closed(example=_closed(
+        expected_growth=_NUM, reference_residual=_NUM, reference_growth=_NUM,
+        recomputed_residual=_NUM, recomputed_growth=_NUM, growth_rel_diff=_NUM,
+        certificates_pass=_BOOL, matrix_file=_STR,
+    ))),
+    "search": (_closed("warm", n=_INT, seed=_INT, restarts=_INT, warm=_STR), _closed(
+        search=_closed(best_growth=_NUM, bound=_NUM, gap=_NUM, evaluations=_INT,
+                       per_restart_best=_NUM_ARRAY, best_matrix=_MATRIX),
+    )),
+}
 
+# if/then, not oneOf: a report missing a field is told which one, not
+# another command's mismatch
 REPORT_SCHEMA = {
     "$schema": "http://json-schema.org/draft-07/schema#",
     "title": "ltlt report",
-    "type": "object",
-    "required": ["schema_version", "command", "status", "inputs", "outputs"],
-    "additionalProperties": False,
-    "properties": {
-        "schema_version": {"const": SCHEMA_VERSION},
-        "command": {"enum": ["factor", "certify", "lp", "examples", "search"]},
-        "status": {"enum": ["ok", "invariant-violation"]},
-        "inputs": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "path": {"type": "string"},
-                "n": {"type": "integer"},
-                "delta": _NUM,
-                "seed": {"type": "integer"},
-                "restarts": {"type": "integer"},
-                "warm": {"type": "string"},
-                "out_dir": {"type": "string"},
-            },
-        },
-        "outputs": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "permutation": {"type": "array", "items": {"type": "integer"}},
-                "l_strict": _MATRIX,
-                "t_diag": _NUM_ARRAY,
-                "t_offdiag": _NUM_ARRAY,
-                "residual": _NUM,
-                "growth": _NUM,
-                "certificate": {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "required": ["lhs", "worst", "all_pass"],
-                    "properties": {
-                        "lhs": _NUM_ARRAY,
-                        "worst": {  # growth.CheckRow's fields
-                            "type": "object",
-                            "additionalProperties": False,
-                            "required": ["label", "lhs", "bound", "margin"],
-                            "properties": {
-                                "label": {"type": "string"},
-                                "lhs": _NUM,
-                                "bound": _NUM,
-                                "margin": _NUM,
-                            },
-                        },
-                        "all_pass": {"type": "boolean"},
-                    },
-                },
-                "lp": {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "required": ["objective", "point", "tnn_bound"],
-                    "properties": {
-                        "objective": _NUM,
-                        "point": _NUM_ARRAY,
-                        "tnn_bound": _NUM,
-                    },
-                },
-                "example": {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "required": ["expected_growth", "reference_residual", "reference_growth",
-                                 "recomputed_residual", "recomputed_growth", "growth_rel_diff",
-                                 "certificates_pass", "matrix_file"],
-                    "properties": {
-                        "expected_growth": _NUM,
-                        "reference_residual": _NUM,
-                        "reference_growth": _NUM,
-                        "recomputed_residual": _NUM,
-                        "recomputed_growth": _NUM,
-                        "growth_rel_diff": _NUM,
-                        "certificates_pass": {"type": "boolean"},
-                        "matrix_file": {"type": "string"},
-                    },
-                },
-                "search": {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "required": ["best_growth", "bound", "gap", "evaluations", "per_restart_best",
-                                 "best_matrix"],
-                    "properties": {
-                        "best_growth": _NUM,
-                        "bound": _NUM,
-                        "gap": _NUM,
-                        "evaluations": {"type": "integer"},
-                        "per_restart_best": _NUM_ARRAY,
-                        "best_matrix": _MATRIX,
-                    },
-                },
-            },
-        },
-    },
+    **_closed(
+        schema_version={"const": SCHEMA_VERSION},
+        command={"enum": list(_COMMANDS)},
+        status={"enum": ["ok", "invariant-violation"]},
+        inputs={"type": "object"},
+        outputs={"type": "object"},
+    ),
+    "allOf": [
+        {"if": {"properties": {"command": {"const": c}}},
+         "then": {"properties": {"inputs": inputs, "outputs": outputs}}}
+        for c, (inputs, outputs) in _COMMANDS.items()
+    ],
 }
 
 

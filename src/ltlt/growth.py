@@ -14,6 +14,7 @@ alone, and ``worst()`` returns the row of smallest margin.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from math import isqrt
@@ -57,7 +58,8 @@ class GrowthCertificate:
     __eq__ = _value_eq
 
     def __post_init__(self):
-        lhs, n = self.lhs, self.n
+        lhs, n = self.lhs, operator.index(self.n)  # rho slices by n: 4.0 would fit the shape
+        object.__setattr__(self, "n", n)
         if not isinstance(lhs, np.ndarray) or lhs.flags.writeable or lhs.dtype != float:
             object.__setattr__(self, "lhs", _frozen(lhs))
         rows = 2 * n - 1 if n < 3 else n * (n - 1) // 2 + 2 * n - 1  # no shape fits n < 1

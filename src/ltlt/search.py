@@ -21,6 +21,7 @@ bounds n at 37.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import List, Tuple
@@ -51,6 +52,8 @@ class SearchConfig:
     warm_starts: Tuple[SymmetricMatrix, ...] = ()
 
     def __post_init__(self):
+        for name in ("n", "restarts", "max_iters", "seed"):  # 4.0 would fail inside the search
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
         top = 2  # the largest n with (n(n+1) + 1) n^2 <= STACK_BUDGET
         while ((top + 1) * (top + 2) + 1) * (top + 1) ** 2 <= STACK_BUDGET:
             top += 1

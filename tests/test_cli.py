@@ -325,26 +325,65 @@ def test_cmd_examples(tmp_path, capsys):
     assert np.array_equal(parsed.entries, extremal_matrix(6, 0.4).A.entries)
 
 
+def _fields(obj: dict, path=()):
+    """The path of every field of a report, at every depth."""
+    for key, value in obj.items():
+        yield path + (key,)
+        if isinstance(value, dict):
+            yield from _fields(value, path + (key,))
+
+
+_SEARCH = ("search", "--n", "4", "--restarts", "2", "--seed", "0")
+
+
 @pytest.mark.parametrize(
-    "argv,key,fields",
+    "argv,fields",
     [
-        (("examples", "--n", "4", "--delta", "0.5"), "example", 8),
-        (("search", "--n", "4", "--restarts", "2", "--seed", "0"), "search", 6),
+        (("factor", str(DATA / "tnn_n9.txt")), 13),
+        (("factor", "zero.txt"), 12),
+        (("certify", str(DATA / "tnn_n9.txt")), 17),
+        (("lp", "--n", "6"), 10),
+        (("examples", "--n", "4", "--delta", "0.5"), 17),
+        (_SEARCH, 15),
+        (_SEARCH + ("--warm", "warm.txt"), 16),
     ],
-    ids=["examples", "search"],
+    ids=["factor", "factor-zero", "certify", "lp", "examples", "search", "search-warm"],
 )
-def test_report_missing_a_field_fails_the_schema(tmp_path, monkeypatch, capsys, argv, key, fields):
-    # every field cmd_examples and cmd_search write is required, as the lp
-    # and certificate objects' fields are
+def test_report_missing_a_field_fails_the_schema(tmp_path, monkeypatch, capsys, argv, fields):
+    # every field a command writes is required, at every depth, but factor's
+    # growth (the zero matrix has none) and search's warm
     monkeypatch.chdir(tmp_path)  # examples writes its matrix file here
+    (tmp_path / "zero.txt").write_text("symmetric 3\n0 0 0\n0 0 0\n0 0 0\n")
+    (tmp_path / "warm.txt").write_text(emit_matrix(SymmetricMatrix(np.full((4, 4), 0.5))))
     rep = report_of(capsys, *argv)
-    required = REPORT_SCHEMA["properties"]["outputs"]["properties"][key]["required"]
-    assert sorted(rep["outputs"][key]) == sorted(required) and len(required) == fields
-    for field in required:
+    optional = {"factor": ("outputs", "growth"), "search": ("inputs", "warm")}.get(argv[0])
+    paths = list(_fields(rep))
+    assert len(paths) == fields
+    for path in paths:
         broken = json.loads(json.dumps(rep))
-        del broken["outputs"][key][field]
-        with pytest.raises(jsonschema.ValidationError, match=f"'{field}' is a required property"):
+        node = broken
+        for key in path[:-1]:
+            node = node[key]
+        del node[path[-1]]
+        if path == optional:
             jsonschema.validate(broken, REPORT_SCHEMA)
+        else:
+            with pytest.raises(jsonschema.ValidationError) as err:
+                jsonschema.validate(broken, REPORT_SCHEMA)
+            assert err.value.message == f"'{path[-1]}' is a required property"
+
+
+def test_report_with_another_commands_field_fails_the_schema(capsys):
+    factor = report_of(capsys, "factor", str(DATA / "tnn_n9.txt"))
+    lp = report_of(capsys, "lp", "--n", "6")
+    broken = json.loads(json.dumps(factor))
+    broken["outputs"]["lp"] = lp["outputs"]["lp"]
+    with pytest.raises(jsonschema.ValidationError, match="'lp' was unexpected"):
+        jsonschema.validate(broken, REPORT_SCHEMA)
+    # each command's fields are checked against that command's schema alone
+    broken = dict(factor, command="certify")
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(broken, REPORT_SCHEMA)
 
 
 def test_cmd_examples_close_deltas_write_separate_files(tmp_path, capsys):

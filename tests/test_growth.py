@@ -288,7 +288,11 @@ def test_certificate_rejects_lhs_of_another_shape(n):
     lhs = growth_certificate(a, factorize(a)).lhs
     rows = len(lhs)
     assert GrowthCertificate(lhs=lhs, n=n).rho == 1.0
-    # rho reads T's rows by position, so the rows of another n must not pass
+    assert GrowthCertificate(lhs=lhs, n=np.int64(n)) == GrowthCertificate(lhs=lhs, n=n)
+    # rho reads T's rows by position, so the rows of another n must not pass,
+    # nor a float n, whose row count compares equal to the shape's
+    with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+        GrowthCertificate(lhs=lhs, n=float(n))
     for m in (n - 1, n + 1):
         with pytest.raises(ValueError, match=rf"\({rows},\) does not hold the rows for n = {m}$"):
             GrowthCertificate(lhs=lhs, n=m)

@@ -44,6 +44,14 @@ def test_config_validation():
         SearchConfig(n=3, warm_starts=(SymmetricMatrix(2.0 * np.eye(3)),))
     with pytest.raises(ValueError, match=r"search requires 3 <= n <= 37, got 2$"):
         SearchConfig(n=2)
+    # a float count passes the range checks and would fail inside the search
+    for kw in ({"n": 4.0}, {"n": 4, "restarts": 1.5}, {"n": 4, "max_iters": 2.5},
+               {"n": 4, "seed": 1.5}):
+        with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+            SearchConfig(**kw)
+    int64 = SearchConfig(n=np.int64(4), restarts=np.int64(2), max_iters=np.int64(3),
+                         seed=np.int64(5))
+    assert int64 == SearchConfig(n=4, restarts=2, max_iters=3, seed=5)
 
 
 def test_config_domain_is_the_n_whose_round_fits_the_stack_budget(monkeypatch):
